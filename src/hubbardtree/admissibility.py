@@ -14,6 +14,7 @@ from .sequences import (
     INFINITY,
     Itinerary,
     KneadingSequence,
+    StructuralError,
     first_mismatch,
     orbit_contains,
 )
@@ -130,7 +131,8 @@ def evil_arm_count(seq: KneadingSequence, m: int) -> int:
     rho_m = first_mismatch(seq, m)
     r = _reduced_residue(rho_m, m)
     q = (rho_m - r) // m + 2
-    assert q >= 3
+    if q < 3:
+        raise StructuralError(f"evil branch point of {seq} at period {m} has {q} arms")
     return q
 
 
@@ -150,7 +152,8 @@ def tame_arm_count(seq: KneadingSequence, m: int) -> int:
         q = (rho_m - r) // m + 1
     else:
         q = (rho_m - r) // m + 2
-    assert q >= 2
+    if q < 2:
+        raise StructuralError(f"periodic point of {seq} at period {m} has {q} arms")
     return q
 
 
@@ -181,6 +184,8 @@ def branch_spectrum(seq: KneadingSequence) -> list[BranchSpectrumEntry]:
         address_entry = nxt
     for entry in entries:
         # a shorter exact period would mean two orbit points share an itinerary
-        assert len(entry.characteristic_itinerary.period) == entry.period, entry
+        if len(entry.characteristic_itinerary.period) != entry.period:
+            raise StructuralError(f"{seq}: spectrum entry {entry.summary()} has a "
+                                  "shorter exact period")
     entries.sort(key=lambda e: e.period)
     return entries

@@ -10,15 +10,16 @@ bytes.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from itertools import product as cartesian
 from multiprocessing import Pool
 from typing import Iterator
 
-from .admissibility import branch_spectrum, fails_for_period, failing_periods
+from .admissibility import OrbitKind, fails_for_period
 from .embedding import count_embeddings
-from .sequences import InternalAddress, KneadingSequence, Symbol, internal_address
-from .tree import HubbardTree, StructuralError, build_tree, max_branch_period, verify_axioms
+from .sequences import KneadingSequence, StructuralError, internal_address
+from .tree import HubbardTree, build_tree, classify_orbits, verify_axioms
 
 ENUMERATION_CAP = 16
 
@@ -70,9 +71,9 @@ def analyze_sequence(seq: KneadingSequence | str) -> tuple[AtlasRow, HubbardTree
     """
     if isinstance(seq, str):
         seq = KneadingSequence.parse(seq)
-    failing = failing_periods(seq)
-    spectrum = branch_spectrum(seq)
     tree = build_tree(seq)
+    # admissibility fails exactly at the periods of the evil orbits
+    failing = [e.period for e in tree.spectrum if e.kind is OrbitKind.EVIL]
 
     axioms = verify_axioms(tree)
     broken = sorted(name for name, ok in axioms.items() if not ok)
@@ -80,9 +81,10 @@ def analyze_sequence(seq: KneadingSequence | str) -> tuple[AtlasRow, HubbardTree
         raise CrossCheckError(f"{seq}: axiom checks failed: {broken}")
 
     try:
-        embeddings = count_embeddings(tree)  # classify_orbits re-checks the spectrum
+        orbits = classify_orbits(tree)  # re-checks the predicted spectrum
     except StructuralError as exc:
         raise CrossCheckError(str(exc)) from exc
+    embeddings = count_embeddings(orbits)
 
     admissible = not failing
     if admissible != (embeddings >= 1):
@@ -98,13 +100,13 @@ def analyze_sequence(seq: KneadingSequence | str) -> tuple[AtlasRow, HubbardTree
         internal_address=str(internal_address(seq)),
         admissible=admissible,
         failing_periods=tuple(failing),
-        spectrum=tuple(entry.summary() for entry in spectrum),
+        spectrum=tuple(entry.summary() for entry in tree.spectrum),
         embeddings=embeddings,
         tree_hash=tree.tree_hash(),
         vertices=len(tree.vertices),
         edges=len(tree.edges),
         endpoints=tuple(sorted(tree.endpoints())),
-        max_branch_period=max_branch_period(tree),
+        max_branch_period=max((o.period for o in orbits), default=0),
     )
     return row, tree
 
@@ -122,8 +124,8 @@ def star_periodic_sequences(max_period: int, *, exact: bool = False) -> list[Kne
     periods = [max_period] if exact else range(2, max_period + 1)
     sequences = []
     for n in periods:
-        for middle in cartesian((Symbol.ZERO, Symbol.ONE), repeat=n - 2):
-            sequences.append(KneadingSequence((Symbol.ONE,) + middle + (Symbol.STAR,)))
+        for middle in cartesian(b"01", repeat=n - 2):
+            sequences.append(KneadingSequence(b"1" + bytes(middle) + b"*"))
     sequences.sort(key=str)
     return sequences
 
@@ -146,8 +148,12 @@ def atlas_header(max_period: int, exact: bool) -> str:
 
 
 def enumerate_rows(max_period: int, *, exact: bool = False, jobs: int = 1) -> Iterator[str]:
-    """JSON row per sequence, lexicographic order regardless of parallelism."""
+    """JSON row per sequence, lexicographic order regardless of parallelism.
+
+    ``jobs`` is clamped to the CPU count.
+    """
     texts = [str(seq) for seq in star_periodic_sequences(max_period, exact=exact)]
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1:
         for text in texts:
             yield _row_json(text)

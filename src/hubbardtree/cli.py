@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import sys
 
-from .admissibility import OrbitKind
 from .atlas import (
     ENUMERATION_CAP,
     CrossCheckError,
@@ -25,21 +26,28 @@ from .sequences import (
     InternalAddress,
     KneadingSequence,
     ParseError,
+    StructuralError,
     address_to_sequence,
     internal_address,
 )
-from .tree import StructuralError, build_tree, classify_orbits
+from .tree import build_tree, classify_orbits
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_CROSSCHECK = 2
 
+_SEQUENCE_TEXT = re.compile(r"[01]+\*", re.ASCII)
+_ADDRESS_TEXT = re.compile(r"[0-9]+(-[0-9]+)*", re.ASCII)
+
 
 def _parse_input(text: str) -> KneadingSequence:
     """Accept either sequence text ``[01]+\\*`` or address text ``1-k-...``."""
-    if "-" in text:
+    if _SEQUENCE_TEXT.fullmatch(text):
+        return KneadingSequence.parse(text)
+    if _ADDRESS_TEXT.fullmatch(text):
         return address_to_sequence(InternalAddress.parse(text))
-    return KneadingSequence.parse(text)
+    raise ParseError(f"expected a sequence like 10110* or an address like 1-2-4-5-6, "
+                     f"got {text!r}")
 
 
 def _render_row(row) -> str:
@@ -65,23 +73,24 @@ def _render_row(row) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="ascii") as handle:
-            handle.write(text)
+def _write(chunks, out: str | None) -> None:
+    """Stream text chunks to stdout as they are produced, or to ``out``.
 
-
-def _write_lines(lines, out: str | None) -> None:
-    """Stream one record per line as they are produced."""
+    A file is written under a temporary name in the same directory and
+    renamed over ``out`` only once every chunk is in, so a failure midway
+    leaves no truncated output behind.
+    """
     if out is None:
-        for line in lines:
-            sys.stdout.write(line + "\n")
-    else:
-        with open(out, "w", encoding="ascii") as handle:
-            for line in lines:
-                handle.write(line + "\n")
+        sys.stdout.writelines(chunks)
+        return
+    partial = f"{out}.{os.getpid()}.tmp"
+    try:
+        with open(partial, "w", encoding="ascii") as handle:
+            handle.writelines(chunks)
+        os.replace(partial, out)
+    finally:
+        if os.path.exists(partial):  # only when the rename did not happen
+            os.unlink(partial)
 
 
 def cmd_analyze(args) -> int:
@@ -90,18 +99,18 @@ def cmd_analyze(args) -> int:
     if args.json:
         record = row.to_dict()
         record["diagnostics"] = diagnostics_record(seq)
-        _write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n", args.out)
+        _write([json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"], args.out)
     else:
-        _write(_render_row(row), args.out)
+        _write([_render_row(row)], args.out)
     return EXIT_OK
 
 
 def cmd_tree(args) -> int:
     tree = build_tree(_parse_input(args.input))
     if args.dot:
-        _write(tree.to_dot(), args.out)
+        _write([tree.to_dot()], args.out)
     else:
-        _write(json.dumps(tree.to_record(), sort_keys=True, separators=(",", ":")) + "\n",
+        _write([json.dumps(tree.to_record(), sort_keys=True, separators=(",", ":")) + "\n"],
                args.out)
     return EXIT_OK
 
@@ -112,37 +121,32 @@ def cmd_embed(args) -> int:
         if args.all:
             embeddings = enumerate_embeddings(tree)
         else:
-            orbits = classify_orbits(tree)
-            evil = [o.period for o in orbits if o.kind is OrbitKind.EVIL]
-            if evil:
-                raise EvilOrbitError(evil)
-            embeddings = [generate_embedding(
-                tree, {o.characteristic: 1 for o in orbits})]
+            rotations = {o.characteristic: 1 for o in classify_orbits(tree)}
+            embeddings = [generate_embedding(tree, rotations)]
     except EvilOrbitError as exc:
         sys.stderr.write(
             "error: no embedding exists; evil periods: "
             + ",".join(str(p) for p in exc.periods) + "\n")
         return EXIT_INPUT
-    _write("".join(e.to_json() + "\n" for e in embeddings), args.out)
+    _write((e.to_json() + "\n" for e in embeddings), args.out)
     return EXIT_OK
 
 
 def cmd_enumerate(args) -> int:
     def lines():
-        yield atlas_header(args.period, args.exact)
-        yield from enumerate_rows(args.period, exact=args.exact, jobs=args.jobs)
+        yield atlas_header(args.period, args.exact) + "\n"
+        for row in enumerate_rows(args.period, exact=args.exact, jobs=args.jobs):
+            yield row + "\n"
 
-    _write_lines(lines(), args.out)
+    _write(lines(), args.out)
     return EXIT_OK
 
 
 def cmd_convert(args) -> int:
-    text = args.input
-    if "-" in text:
-        _write(str(address_to_sequence(InternalAddress.parse(text))) + "\n", args.out)
-    else:
-        seq = KneadingSequence.parse(text)
-        _write(str(internal_address(seq)) + "\n", args.out)
+    """Print the other form: the address of a sequence, the sequence of an address."""
+    seq = _parse_input(args.input)
+    text = str(seq)
+    _write([(str(internal_address(seq)) if text == args.input else text) + "\n"], args.out)
     return EXIT_OK
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .admissibility import OrbitKind
-from .tree import HubbardTree, StructuralError, arm_permutation, classify_orbits
+from .tree import HubbardTree, ObservedOrbit, StructuralError, classify_orbits
 
 
 class EvilOrbitError(ValueError):
@@ -30,15 +30,16 @@ class EvilOrbitError(ValueError):
             + " and admits no planar embedding")
 
 
+def coprime_rotations(q: int) -> list[int]:
+    """The rotation amounts s in {1, ..., q-1} coprime to q."""
+    return [s for s in range(1, q) if math.gcd(s, q) == 1]
+
+
 def euler_phi(q: int) -> int:
     """Count of i in {1, ..., q-1} coprime to q."""
     if q < 1:
         raise ValueError("q must be positive")
-    return sum(1 for i in range(1, q) if math.gcd(i, q) == 1)
-
-
-def coprime_rotations(q: int) -> list[int]:
-    return [s for s in range(1, q) if math.gcd(s, q) == 1]
+    return len(coprime_rotations(q))
 
 
 @dataclass(frozen=True)
@@ -73,16 +74,16 @@ class EmbeddedTree:
         return json.dumps(self.to_record(), sort_keys=True, separators=(",", ":"))
 
 
-def count_embeddings(tree: HubbardTree) -> int:
+def count_embeddings(tree: HubbardTree | list[ObservedOrbit]) -> int:
     """Number of dynamics-respecting embeddings: 0 with an evil orbit,
-    otherwise the product of euler_phi over the characteristic arm counts."""
-    orbits = classify_orbits(tree)
+    otherwise the product of euler_phi over the characteristic arm counts.
+
+    Takes the tree, or the orbits classify_orbits already returned for it.
+    """
+    orbits = classify_orbits(tree) if isinstance(tree, HubbardTree) else tree
     if any(o.kind is OrbitKind.EVIL for o in orbits):
         return 0
-    count = 1
-    for orbit in orbits:
-        count *= euler_phi(orbit.arms)
-    return count
+    return math.prod(euler_phi(o.arms) for o in orbits)
 
 
 def _direction_map(tree: HubbardTree, vid: str) -> dict[str, str]:
@@ -152,15 +153,14 @@ def generate_embedding(tree: HubbardTree, rotations: dict[str, int]) -> Embedded
         s = rotations[z]
         if not 1 <= s < q or math.gcd(s, q) != 1:
             raise ValueError(f"rotation {s} at {z} is not coprime to {q}")
-        permutation, _ = arm_permutation(tree, z, orbit.period)
-        anchor = tree.arm_toward(z, tree.critical)
         layout: list[str | None] = [None] * q
-        arm = anchor
+        arm = tree.arm_toward(z, tree.critical)
         for j in range(q):
             slot = (j * s) % q
-            assert layout[slot] is None
+            if layout[slot] is not None:
+                raise StructuralError(f"rotation {s} at {z} fills slot {slot} twice")
             layout[slot] = arm
-            arm = permutation[arm]
+            arm = orbit.permutation[arm]
         cyclic[z] = tuple(layout)  # type: ignore[arg-type]
 
     pending = {v.id for v in tree.vertices if v.id not in cyclic}

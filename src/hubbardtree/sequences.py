@@ -1,10 +1,11 @@
-"""Symbols, kneading sequences, itineraries and internal addresses.
+"""Kneading sequences, itineraries and internal addresses.
 
-The binary dynamics is encoded over the alphabet {0, 1, *}: the symbol ``*``
-marks the time steps at which an orbit sits exactly on the critical point,
-``1`` the side of the tree containing the critical value, and ``0`` the other
-side.  A star-periodic sequence ``1 v2 ... v_{n-1} *`` (repeated forever) is
-the itinerary of a critical value of period ``n``; everything else in this
+Every symbol word is a ``bytes`` value over ``b"01*"``: ``*`` marks the time
+steps at which an orbit sits exactly on the critical point, ``1`` the side
+of the tree containing the critical value, and ``0`` the other side.  Words
+compare, hash and sort as plain bytes (so ``*`` sorts below ``0``).  A
+star-periodic sequence ``1 v2 ... v_{n-1} *`` (repeated forever) is the
+itinerary of a critical value of period ``n``; everything else in this
 package is derived from such a sequence.
 """
 
@@ -12,51 +13,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import IntEnum
-from itertools import islice
-from typing import Iterator
 
 INFINITY = math.inf
 
-SEQUENCE_CHARS = {"0", "1", "*"}
+_FLIP = bytes.maketrans(b"01", b"10")
 
 
 class ParseError(ValueError):
     """Raised for malformed sequence / address / itinerary text."""
 
 
-class Symbol(IntEnum):
-    ZERO = 0
-    ONE = 1
-    STAR = 2
-
-    def __str__(self) -> str:
-        return "01*"[self]
-
-
-_CHAR_TO_SYMBOL = {"0": Symbol.ZERO, "1": Symbol.ONE, "*": Symbol.STAR}
-
-
-def symbols_differ(a: Symbol, b: Symbol) -> bool:
-    """True iff the two symbols disagree; STAR differs from both 0 and 1."""
-    return a != b
-
-
-def flip(sym: Symbol) -> Symbol:
-    if sym is Symbol.STAR:
-        raise ValueError("cannot flip STAR")
-    return Symbol.ONE if sym is Symbol.ZERO else Symbol.ZERO
-
-
-def word_from_text(text: str) -> tuple[Symbol, ...]:
-    bad = set(text) - SEQUENCE_CHARS
-    if bad or not text:
-        raise ParseError(f"invalid sequence text {text!r}")
-    return tuple(_CHAR_TO_SYMBOL[ch] for ch in text)
-
-
-def word_to_text(word: tuple[Symbol, ...]) -> str:
-    return "".join(str(sym) for sym in word)
+class StructuralError(RuntimeError):
+    """A computed object violates a property the theory guarantees."""
 
 
 @dataclass(frozen=True)
@@ -66,26 +34,31 @@ class KneadingSequence:
     Two kinds are supported: star-periodic words ``1...*`` (exactly one STAR,
     in the last slot) and plain 0-1 words (used for the two STAR
     substitutions and for branch-point itineraries).  The first entry is
-    always ONE.
+    always ``1``.
     """
 
-    word: tuple[Symbol, ...]
+    word: bytes
 
     def __post_init__(self) -> None:
-        if not self.word:
+        word = self.word
+        if not word:
             raise ParseError("empty period word")
-        if self.word[0] is not Symbol.ONE:
+        if not isinstance(word, bytes) or word.translate(None, b"01*"):
+            raise ParseError(f"invalid sequence word {word!r}")
+        if not word.startswith(b"1"):
             raise ParseError("kneading sequences must start with 1")
-        stars = [i for i, sym in enumerate(self.word) if sym is Symbol.STAR]
-        if stars and (len(stars) > 1 or stars[0] != len(self.word) - 1):
+        stars = word.count(b"*")
+        if stars and (stars > 1 or not word.endswith(b"*")):
             raise ParseError("misplaced '*': a star-periodic word has exactly "
                              "one STAR, in the final slot")
-        if stars and len(self.word) < 2:
+        if stars and len(word) < 2:
             raise ParseError("star-periodic words need period >= 2")
 
     @classmethod
     def parse(cls, text: str) -> "KneadingSequence":
-        return cls(word_from_text(text))
+        if not text.isascii():
+            raise ParseError(f"invalid sequence text {text!r}")
+        return cls(text.encode("ascii"))
 
     @property
     def period(self) -> int:
@@ -93,10 +66,10 @@ class KneadingSequence:
 
     @property
     def star_periodic(self) -> bool:
-        return self.word[-1] is Symbol.STAR
+        return self.word.endswith(b"*")
 
-    def entry(self, k: int) -> Symbol:
-        """1-indexed entry under periodic repetition of the word."""
+    def entry(self, k: int) -> int:
+        """1-indexed entry (a byte value) under periodic repetition of the word."""
         if k < 1:
             raise ValueError("entries are 1-indexed")
         return self.word[(k - 1) % len(self.word)]
@@ -105,12 +78,10 @@ class KneadingSequence:
         """The two sequences obtained by writing 0 resp. 1 for every STAR."""
         if not self.star_periodic:
             raise ValueError("sequence has no STAR to substitute")
-        zero = self.word[:-1] + (Symbol.ZERO,)
-        one = self.word[:-1] + (Symbol.ONE,)
-        return KneadingSequence(zero), KneadingSequence(one)
+        return KneadingSequence(self.word[:-1] + b"0"), KneadingSequence(self.word[:-1] + b"1")
 
     def __str__(self) -> str:
-        return word_to_text(self.word)
+        return self.word.decode("ascii")
 
 
 def first_mismatch(seq: KneadingSequence, offset: int):
@@ -123,39 +94,36 @@ def first_mismatch(seq: KneadingSequence, offset: int):
     """
     if offset < 1:
         raise ValueError("offset must be >= 1")
-    p = seq.period
+    word, p = seq.word, seq.period
     for k in range(offset + 1, offset + p + 1):
-        if symbols_differ(seq.entry(k), seq.entry(k - offset)):
+        if word[(k - 1) % p] != word[(k - 1 - offset) % p]:
             return k
     return INFINITY
 
 
-def mismatch_orbit(seq: KneadingSequence, k: int, *, stop_above: int | None = None) -> list[int]:
-    """The orbit ``k -> first_mismatch(k) -> ...``, stopping before INFINITY.
+def _mismatch_walk(seq: KneadingSequence, k: int, bound=INFINITY):
+    """Yield ``k``, then ``first_mismatch(k)`` and so on, stopping before
+    INFINITY or before the first entry above ``bound``.
 
-    With ``stop_above`` the walk also stops once an entry exceeds the bound
-    (entries are strictly increasing, so membership questions below the bound
-    are decided exactly).
+    Entries after ``k`` strictly increase, so membership questions below the
+    bound are decided exactly.
     """
-    orbit = [k]
     while True:
-        nxt = first_mismatch(seq, orbit[-1])
-        if nxt is INFINITY:
-            return orbit
-        if stop_above is not None and nxt > stop_above:
-            return orbit
-        orbit.append(nxt)
+        yield k
+        k = first_mismatch(seq, k)
+        if k is INFINITY or k > bound:
+            return
+
+
+def mismatch_orbit(seq: KneadingSequence, k: int, *, stop_above: int | None = None) -> list[int]:
+    """The orbit ``k -> first_mismatch(k) -> ...``, stopping before INFINITY
+    (or before the first entry above ``stop_above``)."""
+    return list(_mismatch_walk(seq, k, INFINITY if stop_above is None else stop_above))
 
 
 def orbit_contains(seq: KneadingSequence, start: int, target: int) -> bool:
     """Exact membership test ``target in mismatch_orbit(start)``."""
-    k = start
-    while k < target:
-        nxt = first_mismatch(seq, k)
-        if nxt is INFINITY:
-            return False
-        k = nxt
-    return k == target
+    return target in _mismatch_walk(seq, start, target)
 
 
 @dataclass(frozen=True)
@@ -201,14 +169,8 @@ def internal_address(seq: KneadingSequence, *, limit: int | None = None) -> Inte
     """
     if limit is None:
         limit = seq.period if seq.star_periodic else 4 * seq.period
-    entries = [1]
-    while True:
-        nxt = first_mismatch(seq, entries[-1])
-        if nxt is INFINITY:
-            return InternalAddress(tuple(entries), terminated=True)
-        if nxt > limit:
-            return InternalAddress(tuple(entries), terminated=False)
-        entries.append(nxt)
+    entries = tuple(_mismatch_walk(seq, 1, limit))
+    return InternalAddress(entries, terminated=first_mismatch(seq, entries[-1]) is INFINITY)
 
 
 def address_to_sequence(addr: InternalAddress) -> KneadingSequence:
@@ -221,24 +183,19 @@ def address_to_sequence(addr: InternalAddress) -> KneadingSequence:
     entries = addr.entries
     if len(entries) < 2:
         raise ParseError("need at least two address entries (period >= 2)")
-    word = [Symbol.ONE]
+    word = b"1"
     for target in entries[1:]:
-        grown = [word[i % len(word)] for i in range(target - 1)]
-        grown.append(flip(word[(target - 1) % len(word)]))
-        word = grown
-    word[-1] = Symbol.STAR
-    return KneadingSequence(tuple(word))
+        grown = (word * (target // len(word) + 1))[:target]
+        word = grown[:-1] + grown[-1:].translate(_FLIP)
+    return KneadingSequence(word[:-1] + b"*")
 
 
-def exact_period(word: tuple[Symbol, ...]) -> int:
+def exact_period(word: bytes) -> int:
     """Smallest divisor d of len(word) with shift-d invariance (no STARs)."""
-    if any(sym is Symbol.STAR for sym in word):
+    if b"*" in word:
         raise ValueError("exact_period is defined for STAR-free words")
     n = len(word)
-    for d in range(1, n + 1):
-        if n % d == 0 and all(word[i] == word[i % d] for i in range(n)):
-            return d
-    raise AssertionError("unreachable")
+    return next(d for d in range(1, n + 1) if n % d == 0 and word[:d] * (n // d) == word)
 
 
 def upper_lower(seq: KneadingSequence) -> tuple[KneadingSequence, KneadingSequence]:
@@ -252,72 +209,53 @@ def upper_lower(seq: KneadingSequence) -> tuple[KneadingSequence, KneadingSequen
     n = seq.period
     zero, one = seq.star_substitutions()
     zero_has = orbit_contains(zero, 1, n)
-    one_has = orbit_contains(one, 1, n)
-    if zero_has == one_has:
-        raise AssertionError(
+    if zero_has == orbit_contains(one, 1, n):
+        raise StructuralError(
             f"expected exactly one substitution of {seq} to contain {n} in its address")
     return (zero, one) if zero_has else (one, zero)
 
 
-def _minimal_period(word: tuple[Symbol, ...]) -> tuple[Symbol, ...]:
-    n = len(word)
-    for d in range(1, n + 1):
-        if n % d == 0 and all(word[i] == word[i % d] for i in range(n)):
-            return word[:d]
-    raise AssertionError("unreachable")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Itinerary:
     """Eventually periodic symbol stream identifying a point of the tree.
 
     Stored in canonical form: the period word is minimal and the preperiod
     cannot be shortened by rotating the period.  Construction normalizes, so
-    structural equality is semantic equality of streams.
+    structural equality is semantic equality of streams, and the value is
+    its own hash and sort key.
     """
 
-    preperiod: tuple[Symbol, ...] = ()
-    period: tuple[Symbol, ...] = ()
+    preperiod: bytes = b""
+    period: bytes = b""
 
     def __post_init__(self) -> None:
-        if not self.period:
+        pre, per = self.preperiod, self.period
+        if not per:
             raise ValueError("itineraries need a nonempty period word")
-        if sum(1 for sym in self.period if sym is Symbol.STAR) > 1:
+        stars = per.count(b"*")
+        if stars > 1:
             raise ValueError("at most one STAR per period")
-        pre = list(self.preperiod)
-        per = list(_minimal_period(self.period))
+        if not stars:  # a single STAR already makes the word minimal
+            per = per[:exact_period(per)]
         while pre and pre[-1] == per[-1]:
-            per.insert(0, per.pop())
-            pre.pop()
-        object.__setattr__(self, "preperiod", tuple(pre))
-        object.__setattr__(self, "period", tuple(per))
+            per = per[-1:] + per[:-1]
+            pre = pre[:-1]
+        object.__setattr__(self, "preperiod", pre)
+        object.__setattr__(self, "period", per)
 
     @classmethod
-    def periodic(cls, word: tuple[Symbol, ...]) -> "Itinerary":
-        return cls((), word)
-
-    def entry(self, k: int) -> Symbol:
-        """1-indexed symbol of the stream."""
-        if k < 1:
-            raise ValueError("entries are 1-indexed")
-        i = k - 1
-        if i < len(self.preperiod):
-            return self.preperiod[i]
-        return self.period[(i - len(self.preperiod)) % len(self.period)]
+    def periodic(cls, word: bytes) -> "Itinerary":
+        return cls(b"", word)
 
     def shift(self) -> "Itinerary":
         """Drop the first symbol (one step of the dynamics)."""
         if self.preperiod:
             return Itinerary(self.preperiod[1:], self.period)
-        return Itinerary((), self.period[1:] + self.period[:1])
+        return Itinerary(b"", self.period[1:] + self.period[:1])
 
-    def prefix(self, length: int) -> tuple[Symbol, ...]:
-        return tuple(islice(self.symbols(), length))
-
-    def symbols(self) -> Iterator[Symbol]:
-        yield from self.preperiod
-        while True:
-            yield from self.period
+    def prefix(self, length: int) -> bytes:
+        """The first ``length`` symbols of the stream."""
+        return (self.preperiod + self.period * (length // len(self.period) + 1))[:length]
 
     def shift_orbit(self) -> list["Itinerary"]:
         """All forward shifts (finitely many, by eventual periodicity)."""
@@ -328,12 +266,8 @@ class Itinerary:
             current = current.shift()
         return orbit
 
-    def key(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Deterministic sort/hash key (ints only, so ordering is stable)."""
-        return (tuple(int(s) for s in self.preperiod), tuple(int(s) for s in self.period))
-
     def __str__(self) -> str:
-        return word_to_text(self.preperiod) + "(" + word_to_text(self.period) + ")"
+        return f"{self.preperiod.decode('ascii')}({self.period.decode('ascii')})"
 
 
 def critical_orbit_itinerary(seq: KneadingSequence, index: int) -> Itinerary:
@@ -344,18 +278,12 @@ def critical_orbit_itinerary(seq: KneadingSequence, index: int) -> Itinerary:
     """
     if not seq.star_periodic:
         raise ValueError("critical orbit itineraries need a star-periodic sequence")
-    n = seq.period
-    k = (index - 1) % n
+    k = (index - 1) % seq.period
     return Itinerary.periodic(seq.word[k:] + seq.word[:k])
 
 
 def itinerary_consistent_with(itin: Itinerary, seq: KneadingSequence) -> bool:
     """Whether every STAR in the stream is followed by the sequence itself."""
-    stream = itin
-    horizon = len(itin.preperiod) + len(itin.period)
-    for _ in range(horizon):
-        if stream.entry(1) is Symbol.STAR:
-            if stream.shift() != Itinerary.periodic(seq.word):
-                return False
-        stream = stream.shift()
-    return True
+    value = Itinerary.periodic(seq.word)
+    return all(stream.shift() == value
+               for stream in itin.shift_orbit() if stream.prefix(1) == b"*")

@@ -16,18 +16,15 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
-from .admissibility import OrbitKind, branch_spectrum
+from .admissibility import BranchSpectrumEntry, OrbitKind, branch_spectrum
 from .sequences import (
     Itinerary,
     KneadingSequence,
+    StructuralError,
     critical_orbit_itinerary,
     itinerary_consistent_with,
 )
 from .triods import Middle, TriodError, UnrealizedPointError, classify_triod
-
-
-class StructuralError(RuntimeError):
-    """The constructed tree violates a property the theory guarantees."""
 
 
 class SpectrumMismatchError(StructuralError):
@@ -56,11 +53,16 @@ def marked_points(seq: KneadingSequence) -> list[MarkedPoint]:
     """
     if not seq.star_periodic or seq.period < 2:
         raise ValueError("marked points require a star-periodic sequence of period >= 2")
+    return _marked_points(seq, tuple(branch_spectrum(seq)))
+
+
+def _marked_points(seq: KneadingSequence,
+                   spectrum: tuple[BranchSpectrumEntry, ...]) -> list[MarkedPoint]:
     points = [
         MarkedPoint(f"c{k}", critical_orbit_itinerary(seq, k), ("critical", k))
         for k in range(seq.period)
     ]
-    for entry in branch_spectrum(seq):
+    for entry in spectrum:
         itin = entry.characteristic_itinerary
         for j in range(entry.period):
             points.append(MarkedPoint(f"z{entry.period}.{j}", itin, ("branch", entry.period, j)))
@@ -70,13 +72,19 @@ def marked_points(seq: KneadingSequence) -> list[MarkedPoint]:
 
 @dataclass(frozen=True)
 class HubbardTree:
+    """The built tree, carrying the branch spectrum predicted from its
+    sequence (computed from the sequence when not given)."""
+
     sequence: KneadingSequence
     vertices: tuple[MarkedPoint, ...]
     edges: tuple[tuple[str, str], ...]
     dynamics: dict[str, str]
     critical: str
+    spectrum: tuple[BranchSpectrumEntry, ...] | None = None
 
     def __post_init__(self):
+        if self.spectrum is None:
+            object.__setattr__(self, "spectrum", tuple(branch_spectrum(self.sequence)))
         object.__setattr__(self, "_by_id", {v.id: v for v in self.vertices})
         adjacency: dict[str, list[str]] = {v.id: [] for v in self.vertices}
         for a, b in self.edges:
@@ -86,7 +94,6 @@ class HubbardTree:
         for vid in adjacency:
             adjacency[vid].sort(key=order.__getitem__)
         object.__setattr__(self, "_adjacency", adjacency)
-        object.__setattr__(self, "_order", order)
 
     def point(self, vid: str) -> MarkedPoint:
         return self._by_id[vid]
@@ -122,8 +129,9 @@ class HubbardTree:
                     queue.append(nxt)
         raise StructuralError(f"no path from {start} to {goal}: tree is disconnected")
 
-    def component_without(self, removed: str, anchor: str) -> set[str]:
-        """Vertex set of the component of anchor once ``removed`` is deleted."""
+    def component_without(self, removed: str | None, anchor: str) -> set[str]:
+        """Vertex set of the component of anchor once ``removed`` is deleted
+        (with ``removed`` None, the component of anchor in the whole tree)."""
         if anchor == removed:
             raise ValueError("anchor must differ from the removed vertex")
         seen = {anchor}
@@ -139,15 +147,7 @@ class HubbardTree:
     def is_connected(self) -> bool:
         if not self.vertices:
             return True
-        start = self.vertices[0].id
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            for nxt in self._adjacency[queue.popleft()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        return len(seen) == len(self.vertices)
+        return len(self.component_without(None, self.vertices[0].id)) == len(self.vertices)
 
     def arm_toward(self, vid: str, target: str) -> str:
         """Neighbor of ``vid`` on the path toward ``target``."""
@@ -209,34 +209,32 @@ class HubbardTree:
 
 
 class _TriodCache:
-    """Memoized triod results keyed by the unordered itinerary triple.
+    """Memoized triod results keyed by the sorted itinerary triple.
 
-    Middles are stored as the middle point's itinerary key so lookups do not
+    Middles are stored as the middle point's itinerary so lookups do not
     depend on argument order.
     """
 
     def __init__(self, seq: KneadingSequence):
         self.seq = seq
-        self.results: dict[tuple, object] = {}
+        self.results: dict[tuple, tuple[str, Itinerary]] = {}
 
-    def classify(self, a: Itinerary, b: Itinerary, c: Itinerary):
-        key = tuple(sorted((a.key(), b.key(), c.key())))
+    def classify(self, a: Itinerary, b: Itinerary, c: Itinerary) -> tuple[str, Itinerary]:
+        key = tuple(sorted((a, b, c)))
         if key not in self.results:
-            by_key = {a.key(): a, b.key(): b, c.key(): c}
-            args = [by_key[k] for k in key]
             try:
-                result = classify_triod(args[0], args[1], args[2], self.seq, validate=False)
+                result = classify_triod(*key, self.seq, validate=False)
             except TriodError as exc:
                 raise StructuralError(
                     f"inconsistent triod over vertices "
-                    f"({args[0]}, {args[1]}, {args[2]}) of {self.seq}") from exc
+                    f"({key[0]}, {key[1]}, {key[2]}) of {self.seq}") from exc
             if isinstance(result, Middle):
                 self.results[key] = ("middle", key[result.position - 1])
             else:
                 self.results[key] = ("branch", result.itinerary)
         return self.results[key]
 
-    def middle_key(self, a: Itinerary, b: Itinerary, c: Itinerary):
+    def middle(self, a: Itinerary, b: Itinerary, c: Itinerary) -> Itinerary | None:
         kind, payload = self.classify(a, b, c)
         return payload if kind == "middle" else None
 
@@ -248,51 +246,52 @@ def build_tree(seq: KneadingSequence | str) -> HubbardTree:
     all vertex triples until no new itinerary appears (every arm of a branch
     point contains an endpoint, and endpoints are critical orbit points, so
     the first sweep already finds everything; later sweeps only confirm).
-    Edges connect vertices with no third vertex between them.
+    Edges connect vertices with no third vertex between them.  The branch
+    spectrum predicted from the sequence is computed once, here, and travels
+    with the tree.
     """
     if isinstance(seq, str):
         seq = KneadingSequence.parse(seq)
-    base = marked_points(seq)
+    spectrum = tuple(branch_spectrum(seq))
+    base = _marked_points(seq, spectrum)
     for point in base:
         if not itinerary_consistent_with(point.itinerary, seq):
             raise StructuralError(f"marked point {point.id} has inconsistent itinerary")
 
     cache = _TriodCache(seq)
-    itineraries: dict[tuple, Itinerary] = {p.itinerary.key(): p.itinerary for p in base}
-    if len(itineraries) != len(base):
+    marked = {p.itinerary for p in base}
+    if len(marked) != len(base):
         raise StructuralError("marked points do not have distinct itineraries")
 
+    itineraries = set(marked)
     rounds = 0
     while True:
         rounds += 1
         if rounds > 2 * seq.period + 4:
             raise StructuralError("branch discovery failed to stabilize")
-        discovered: dict[tuple, Itinerary] = {}
-        for ka, kb, kc in combinations(sorted(itineraries), 3):
-            kind, payload = cache.classify(itineraries[ka], itineraries[kb], itineraries[kc])
-            if kind == "branch" and payload.key() not in itineraries:
-                discovered.setdefault(payload.key(), payload)
+        discovered = set()
+        for triple in combinations(sorted(itineraries), 3):
+            kind, payload = cache.classify(*triple)
+            if kind == "branch" and payload not in itineraries:
+                discovered.add(payload)
         if not discovered:
             break
-        for itin in discovered.values():
-            for shifted in itin.shift_orbit():
-                itineraries.setdefault(shifted.key(), shifted)
+        for itin in discovered:
+            itineraries.update(itin.shift_orbit())
 
-    marked_keys = {p.itinerary.key() for p in base}
-    extras = sorted(k for k in itineraries if k not in marked_keys)
     vertices = list(base) + [
-        MarkedPoint(f"p{i}", itineraries[k], ("prebranch", i))
-        for i, k in enumerate(extras)
+        MarkedPoint(f"p{i}", itin, ("prebranch", i))
+        for i, itin in enumerate(sorted(itineraries - marked))
     ]
 
-    by_key = {v.itinerary.key(): v for v in vertices}
+    by_itinerary = {v.itinerary: v for v in vertices}
     edges = []
     for va, vb in combinations(vertices, 2):
         between = False
         for w in vertices:
             if w.id in (va.id, vb.id):
                 continue
-            if cache.middle_key(va.itinerary, w.itinerary, vb.itinerary) == w.itinerary.key():
+            if cache.middle(va.itinerary, w.itinerary, vb.itinerary) == w.itinerary:
                 between = True
                 break
         if not between:
@@ -300,12 +299,12 @@ def build_tree(seq: KneadingSequence | str) -> HubbardTree:
 
     dynamics = {}
     for v in vertices:
-        image = by_key.get(v.itinerary.shift().key())
+        image = by_itinerary.get(v.itinerary.shift())
         if image is None:
             raise StructuralError(f"shift image of {v.id} is not a vertex")
         dynamics[v.id] = image.id
 
-    tree = HubbardTree(seq, tuple(vertices), tuple(edges), dynamics, "c0")
+    tree = HubbardTree(seq, tuple(vertices), tuple(edges), dynamics, "c0", spectrum)
     if len(tree.edges) != len(tree.vertices) - 1 or not tree.is_connected():
         raise StructuralError(
             f"vertex/edge relation for {seq} is not a tree "
@@ -360,7 +359,7 @@ def characteristic_point(tree: HubbardTree, orbit: list[str]) -> str:
         raise StructuralError(f"expected one characteristic point in {orbit}, found {found}")
     z = found[0]
     m = len(orbit)
-    if tree.point(z).itinerary.prefix(m) != tuple(seq.word[:m]):
+    if tree.point(z).itinerary.prefix(m) != seq.word[:m]:
         raise StructuralError(
             f"characteristic point {z} does not share its first {m} symbols with {seq}")
     return z
@@ -445,7 +444,7 @@ def classify_orbits(tree: HubbardTree) -> list[ObservedOrbit]:
         observed.append(ObservedOrbit(len(orbit), degrees.pop(), kind, z, permutation))
     observed.sort(key=lambda o: o.period)
 
-    predicted = branch_spectrum(tree.sequence)
+    predicted = tree.spectrum
     got = [(o.period, o.arms, o.kind) for o in observed]
     want = [(e.period, e.arms, e.kind) for e in predicted]
     if got != want:
@@ -512,7 +511,7 @@ def verify_axioms(tree: HubbardTree) -> dict[str, bool]:
         for b in vertices[i + 1:]:
             bound = (len(a.itinerary.preperiod) + len(b.itinerary.preperiod)
                      + len(a.itinerary.period) * len(b.itinerary.period))
-            if all(a.itinerary.entry(k) == b.itinerary.entry(k) for k in range(1, bound + 1)):
+            if a.itinerary.prefix(bound) == b.itinerary.prefix(bound):
                 separations = False
     checks["expansivity"] = separations
 
@@ -529,8 +528,3 @@ def verify_axioms(tree: HubbardTree) -> dict[str, bool]:
     checks["branch_orbit_degree_constant"] = periodic_ok and checks["tree_shape"]
     checks["branch_period_below_sequence_period"] = max_branch_period < n
     return checks
-
-
-def max_branch_period(tree: HubbardTree) -> int:
-    orbits = tree.periodic_branch_orbits()
-    return max((len(orbit) for orbit in orbits), default=0)

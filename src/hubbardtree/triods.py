@@ -32,11 +32,12 @@ which violates the precondition.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .sequences import Itinerary, KneadingSequence, Symbol, itinerary_consistent_with
+from .sequences import Itinerary, KneadingSequence, itinerary_consistent_with
 
-_STAR = int(Symbol.STAR)
+_STAR = ord("*")
 
 
 class TriodError(RuntimeError):
@@ -48,8 +49,8 @@ class UnrealizedPointError(TriodError):
 
     For three itineraries of genuine tree points this cannot happen (the
     spanning subtree maps injectively step by step), so it means at least one
-    input stream is not the itinerary of any point of the tree.  Symbolic
-    precritical itineraries are the usual culprits: a word like
+    input stream is not the itinerary of any point of the tree.  The usual
+    culprits are symbolic precritical itineraries: a word like
     ``v1..v_{k-1} * v`` need not be realized when k is off the internal
     address.
     """
@@ -80,23 +81,6 @@ class Branch:
 TriodResult = Middle | Branch
 
 
-class _Tape:
-    """Flattened eventually periodic symbol stream with O(1) indexed reads."""
-
-    __slots__ = ("symbols", "npre", "nper", "total")
-
-    def __init__(self, itinerary: Itinerary):
-        self.symbols = tuple(int(s) for s in itinerary.preperiod + itinerary.period)
-        self.npre = len(itinerary.preperiod)
-        self.nper = len(itinerary.period)
-        self.total = self.npre + self.nper
-
-    def canonical(self, pos: int) -> int:
-        if pos < self.total:
-            return pos
-        return self.npre + (pos - self.npre) % self.nper
-
-
 def classify_triod(
     t1: Itinerary,
     t2: Itinerary,
@@ -113,25 +97,28 @@ def classify_triod(
     already vetted their itineraries.
     """
     points = (t1, t2, t3)
-    if len({p.key() for p in points}) != 3:
+    if len(set(points)) != 3:
         raise TriodError("triod points must be pairwise distinct")
     if validate:
         for p in points:
             if not itinerary_consistent_with(p, seq):
                 raise TriodError(f"itinerary {p} does not follow {seq} after its STAR")
 
-    tapes = [_Tape(p) for p in points]
-    tapes.append(_Tape(Itinerary.periodic(seq.word)))  # replacement stream
-    streams = [(0, 0), (1, 0), (2, 0)]  # (tape index, canonical position)
+    # a tape is preperiod + period, read at positions that wrap back to the
+    # start of the period; tape 3 is the replacement stream of a chop
+    value = Itinerary.periodic(seq.word)
+    itineraries = (*points, value)
+    tapes = [p.preperiod + p.period for p in itineraries]
+    loops = [len(p.preperiod) for p in itineraries]
+    streams = [(0, 0), (1, 0), (2, 0)]  # (tape index, position)
+
+    def advance(t: int, pos: int) -> tuple[int, int]:
+        pos += 1
+        return (t, pos if pos < len(tapes[t]) else loops[t])
 
     # generous safety net; genuine queries cycle long before this
-    lcm = 1
-    for tape in tapes:
-        g, a = lcm, tape.nper
-        while a:
-            g, a = a, g % a
-        lcm = lcm * tape.nper // g
-    cap = sum(t.npre for t in tapes) + 4 * max(seq.period, 1) * lcm + 16
+    lcm = math.lcm(*(len(p.period) for p in itineraries))
+    cap = sum(loops) + 4 * max(seq.period, 1) * lcm + 16
 
     seen: dict[tuple, int] = {}
     events: list[tuple[str, int] | None] = []
@@ -156,13 +143,13 @@ def classify_triod(
                         "is not the itinerary of a tree point")
                 return Middle(index + 1)
             if not untouched:
-                symbols = tuple(Symbol(s) for s in recorded)
+                symbols = bytes(recorded)
                 return Branch(Itinerary(symbols[:start], symbols[start:]))
             raise TriodError("two streams never separated; inputs are not "
                              "itineraries of distinct tree points")
         seen[state] = step
 
-        heads = [tapes[t].symbols[pos] for t, pos in streams]
+        heads = [tapes[t][pos] for t, pos in streams]
         star_indices = [i for i, h in enumerate(heads) if h == _STAR]
         if len(star_indices) > 1:
             raise TriodError("two streams hit the critical point simultaneously")
@@ -179,11 +166,11 @@ def classify_triod(
             recorded.append(others[0])
             events.append(("E", i))
             touched[i] = True
-            streams = [(t, tapes[t].canonical(pos + 1)) for t, pos in streams]
+            streams = [advance(t, pos) for t, pos in streams]
         elif heads[0] == heads[1] == heads[2]:
             recorded.append(heads[0])
             events.append(None)
-            streams = [(t, tapes[t].canonical(pos + 1)) for t, pos in streams]
+            streams = [advance(t, pos) for t, pos in streams]
         else:
             # exactly one head disagrees (two symbols available, no STAR)
             if heads[0] == heads[1]:
@@ -195,11 +182,8 @@ def classify_triod(
             recorded.append(majority)
             events.append(("C", odd))
             touched[odd] = True
-            streams = [
-                (3, tapes[3].canonical(0)) if i == odd
-                else (t, tapes[t].canonical(pos + 1))
-                for i, (t, pos) in enumerate(streams)
-            ]
+            streams = [(3, 0) if i == odd else advance(t, pos)
+                       for i, (t, pos) in enumerate(streams)]
 
         step += 1
         if step > cap:

@@ -34,7 +34,6 @@ from hubbardtree import (
     verify_embedding,
 )
 from hubbardtree.atlas import embedding_census, star_periodic_sequences
-from hubbardtree.sequences import word_from_text
 
 
 @contextmanager
@@ -146,7 +145,7 @@ def test_criterion_6_mismatch_combinatorics_random_words():
         for _ in range(10_000):
             length = rng.randint(1, 64)
             text = "1" + "".join(rng.choice("01") for _ in range(length - 1))
-            seq = KneadingSequence(word_from_text(text))
+            seq = KneadingSequence.parse(text)
 
             cache: dict[int, object] = {}
 

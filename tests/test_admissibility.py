@@ -19,7 +19,6 @@ from hubbardtree import (
     tame_arm_count,
 )
 from hubbardtree.atlas import star_periodic_sequences
-from hubbardtree.sequences import Symbol, word_from_text
 
 
 class TestFailureDiagnostics:
@@ -94,8 +93,8 @@ class TestEvilArmCount:
     def test_constructed_family_from_base(self):
         # base 10*, completion 101 (3 stays off the address), s = 2 repeats:
         # the closure is 10110* and it fails at the base period with 3 arms
-        completed = word_from_text("101")
-        family = KneadingSequence(completed + word_from_text("10") + (Symbol.STAR,))
+        completed = b"101"
+        family = KneadingSequence(completed + b"10" + b"*")
         assert str(family) == "10110*"
         assert fails_for_period(family, 3).fails
         assert evil_arm_count(family, 3) == 3

@@ -53,7 +53,7 @@ class TestAnalyzeCommand:
         assert result.returncode == 1
         assert "error" in result.stderr
 
-    @pytest.mark.parametrize("bad", ["11", "1*1", "1-1-3", "x"])
+    @pytest.mark.parametrize("bad", ["11", "1*1", "1-1-3", "x", " 1-2", "1-1_0", "１-２-４"])
     def test_other_malformed_inputs(self, bad):
         assert run_cli(["analyze", bad]).returncode == 1
 
@@ -139,6 +139,51 @@ class TestEnumerateCommand:
         assert run_cli(["no-such-command"]).returncode == 1
         assert run_cli(["--help"]).returncode == 0
 
+    def test_failed_run_leaves_no_output_file(self, tmp_path, monkeypatch):
+        import hubbardtree.cli as cli
+
+        def one_row_then_fail(*args, **kwargs):
+            yield "{}"
+            raise CrossCheckError("synthetic failure")
+
+        monkeypatch.setattr(cli, "enumerate_rows", one_row_then_fail)
+        out = tmp_path / "atlas.jsonl"
+        assert main(["enumerate", "--period", "4", "--out", str(out)]) == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_file_matches_stdout(self, tmp_path, capsys):
+        out = tmp_path / "atlas.jsonl"
+        assert main(["enumerate", "--period", "4", "--out", str(out)]) == 0
+        assert main(["enumerate", "--period", "4"]) == 0
+        assert out.read_text(encoding="ascii") == capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_jobs_clamped_to_cpu_count(self, monkeypatch):
+        import hubbardtree.atlas as atlas
+
+        sizes = []
+
+        class RecordingPool:
+            # stands in for multiprocessing.Pool: records the size, maps in process
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, func, items, chunksize=1):
+                return map(func, items)
+
+        monkeypatch.setattr(atlas, "Pool", RecordingPool)
+        monkeypatch.setattr(atlas.os, "cpu_count", lambda: 3)
+        serial = list(enumerate_rows(4, exact=True))
+        assert list(enumerate_rows(4, exact=True, jobs=64)) == serial
+        assert list(enumerate_rows(4, exact=True, jobs=2)) == serial
+        assert sizes == [3, 2]
+
     def test_rows_satisfy_consistency_law(self):
         for line in enumerate_rows(6):
             row = json.loads(line)
@@ -178,10 +223,17 @@ class TestConvertCommand:
     def test_address_to_sequence(self):
         assert run_cli(["convert", "1-2-4-5-11"]).stdout.strip() == "1011010110*"
 
-    def test_roundtrip_small(self):
+    def test_plain_word_is_rejected(self, capsys):
+        # a 0-1 word without the final STAR is neither grammar
+        assert main(["convert", "11"]) == 1
+        assert capsys.readouterr().out == ""
+
+    def test_roundtrip_small(self, capsys):
         for seq in star_periodic_sequences(7):
-            address = run_cli(["convert", str(seq)]).stdout.strip()
-            assert run_cli(["convert", address]).stdout.strip() == str(seq)
+            assert main(["convert", str(seq)]) == 0
+            address = capsys.readouterr().out.strip()
+            assert main(["convert", address]) == 0
+            assert capsys.readouterr().out.strip() == str(seq)
 
 
 class TestLibrarySide:

@@ -12,7 +12,6 @@ from hubbardtree import (
     Itinerary,
     KneadingSequence,
     ParseError,
-    Symbol,
     address_to_sequence,
     critical_orbit_itinerary,
     exact_period,
@@ -20,11 +19,9 @@ from hubbardtree import (
     internal_address,
     mismatch_orbit,
     orbit_contains,
-    symbols_differ,
     upper_lower,
 )
 from hubbardtree.atlas import star_periodic_sequences
-from hubbardtree.sequences import word_from_text, word_to_text
 
 
 def oracle_first_mismatch(text: str, offset: int):
@@ -40,19 +37,6 @@ def oracle_first_mismatch(text: str, offset: int):
 binary_words = st.text(alphabet="01", min_size=0, max_size=63).map(lambda s: "1" + s)
 
 
-class TestSymbols:
-    def test_differ_identity(self):
-        assert symbols_differ(Symbol.ONE, Symbol.ONE) is False
-
-    def test_differ_binary(self):
-        assert symbols_differ(Symbol.ONE, Symbol.ZERO) is True
-
-    def test_star_differs_from_binary(self):
-        # required for the internal address of 10110* to terminate at 6
-        assert symbols_differ(Symbol.STAR, Symbol.ONE) is True
-        assert symbols_differ(Symbol.STAR, Symbol.ZERO) is True
-
-
 class TestParsing:
     def test_roundtrip_text(self):
         assert str(KneadingSequence.parse("10110*")) == "10110*"
@@ -62,11 +46,17 @@ class TestParsing:
         with pytest.raises(ParseError):
             KneadingSequence.parse(bad)
 
+    @pytest.mark.parametrize("word", [b"1x0*", b"", "10*"])
+    def test_constructor_rejects_non_words(self, word):
+        with pytest.raises(ParseError):
+            KneadingSequence(word)
+
     def test_entry_positions(self):
         nu = KneadingSequence.parse("10110*")
-        assert nu.entry(3) is Symbol.ONE
-        assert nu.entry(6) is Symbol.STAR
-        assert nu.entry(7) is Symbol.ONE  # wraps to position 1
+        assert nu.word == b"10110*"
+        assert nu.entry(3) == ord("1")
+        assert nu.entry(6) == ord("*")
+        assert nu.entry(7) == ord("1")  # wraps to position 1
 
 
 class TestFirstMismatch:
@@ -81,12 +71,12 @@ class TestFirstMismatch:
         assert first_mismatch(nu, 3) == 6
 
     def test_constant_sequence_is_infinite(self):
-        ones = KneadingSequence(word_from_text("11"))
+        ones = KneadingSequence(b"11")
         assert first_mismatch(ones, 1) is INFINITY
 
     @given(binary_words, st.integers(min_value=1, max_value=80))
     def test_matches_oracle_on_random_words(self, text, offset):
-        seq = KneadingSequence(word_from_text(text))
+        seq = KneadingSequence.parse(text)
         assert first_mismatch(seq, offset) == oracle_first_mismatch(text, offset)
 
 
@@ -124,7 +114,7 @@ class TestInternalAddress:
 
     def test_plain_word_can_be_truncated(self):
         # the lower sequence of 10* has an unbounded address
-        lower = KneadingSequence(word_from_text("101"))
+        lower = KneadingSequence(b"101")
         addr = internal_address(lower, limit=30)
         assert not addr.terminated
         assert 3 not in addr.entries
@@ -159,16 +149,16 @@ class TestAddressToSequence:
 
 class TestExactPeriod:
     @pytest.mark.parametrize("text,period", [
-        ("1010", 2),
-        ("101", 3),
-        ("111111", 1),
+        (b"1010", 2),
+        (b"101", 3),
+        (b"111111", 1),
     ])
     def test_examples(self, text, period):
-        assert exact_period(word_from_text(text)) == period
+        assert exact_period(text) == period
 
     def test_rejects_star(self):
         with pytest.raises(ValueError):
-            exact_period(word_from_text("10*"))
+            exact_period(b"10*")
 
 
 class TestUpperLower:
@@ -209,16 +199,17 @@ class TestItinerary:
         assert str(c0.shift()) == "(1*)"
 
     def test_shift_drops_preperiod(self):
-        itin = Itinerary((Symbol.ZERO,), (Symbol.ONE,))
-        assert itin.shift() == Itinerary.periodic((Symbol.ONE,))
+        itin = Itinerary(b"0", b"1")
+        assert itin.shift() == Itinerary.periodic(b"1")
 
     def test_shift_plain_period(self):
-        itin = Itinerary.periodic(word_from_text("10"))
+        itin = Itinerary.periodic(b"10")
         assert str(itin.shift()) == "(01)"
 
     def test_normalization_minimizes(self):
-        raw = Itinerary(word_from_text("1"), word_from_text("111"))
-        assert raw == Itinerary.periodic(word_from_text("1"))
+        raw = Itinerary(b"1", b"111")
+        assert raw == Itinerary.periodic(b"1")
+        assert (raw.preperiod, raw.period) == (b"", b"1")
 
     def test_normalization_absorbs_preperiod(self):
         # spelling the critical value as "prefix + rotated period" collapses
@@ -229,13 +220,13 @@ class TestItinerary:
     def test_critical_orbit_cycle(self):
         nu = KneadingSequence.parse("10110*")
         points = [critical_orbit_itinerary(nu, k) for k in range(6)]
-        assert len({p.key() for p in points}) == 6
+        assert len(set(points)) == 6
         for k in range(6):
             assert points[k].shift() == points[(k + 1) % 6]
 
     def test_rejects_two_stars_per_period(self):
         with pytest.raises(ValueError):
-            Itinerary.periodic((Symbol.STAR, Symbol.ONE, Symbol.STAR))
+            Itinerary.periodic(b"*1*")
 
 
 def _address_entries(seq: KneadingSequence, limit: int) -> list[int]:
@@ -250,7 +241,7 @@ class TestMismatchOrbitCombinatorics:
     def test_orbit_passes_through_translated_entries(self, text):
         # for an address entry m and s < m < first_mismatch(s), the orbit of
         # first_mismatch(m-s) - (m-s) comes back through m
-        seq = KneadingSequence(word_from_text(text))
+        seq = KneadingSequence.parse(text)
         limit = 3 * seq.period
         for m in _address_entries(seq, limit):
             for s in range(1, m):
@@ -265,7 +256,7 @@ class TestMismatchOrbitCombinatorics:
     @settings(max_examples=300, deadline=None)
     @given(binary_words)
     def test_infinite_entry_is_exact_period(self, text):
-        seq = KneadingSequence(word_from_text(text))
+        seq = KneadingSequence.parse(text)
         entries = _address_entries(seq, 4 * seq.period)
         if first_mismatch(seq, entries[-1]) is INFINITY:
             assert entries[-1] == exact_period(seq.word)
@@ -273,7 +264,7 @@ class TestMismatchOrbitCombinatorics:
     @settings(max_examples=300, deadline=None)
     @given(binary_words, st.integers(min_value=1, max_value=64), st.integers(min_value=2, max_value=6))
     def test_translation_property(self, text, m, k):
-        seq = KneadingSequence(word_from_text(text))
+        seq = KneadingSequence.parse(text)
         rho_m = first_mismatch(seq, m)
         if rho_m is INFINITY:
             assert first_mismatch(seq, k * m) is INFINITY

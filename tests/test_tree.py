@@ -51,7 +51,7 @@ class TestMarkedPoints:
     def test_distinct_itineraries(self):
         for seq in star_periodic_sequences(8):
             points = marked_points(seq)
-            assert len({p.itinerary.key() for p in points}) == len(points)
+            assert len({p.itinerary for p in points}) == len(points)
 
 
 class TestBuildTree:
@@ -220,7 +220,7 @@ class TestClosestPrecritical:
     def test_itineraries_are_unique_per_step(self):
         for seq in star_periodic_sequences(8):
             itins = [closest_precritical_itinerary(seq, k) for k in range(1, seq.period + 1)]
-            assert len({i.key() for i in itins}) == seq.period
+            assert len(set(itins)) == seq.period
 
     def test_spine_membership_matches_internal_address(self):
         # the step-m point lies between the critical point and value exactly

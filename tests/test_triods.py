@@ -11,14 +11,11 @@ from hubbardtree import (
     Itinerary,
     KneadingSequence,
     Middle,
-    Symbol,
     TriodError,
     classify_triod,
     critical_orbit_itinerary,
 )
-from hubbardtree.sequences import word_from_text
-
-ONES = Itinerary.periodic(word_from_text("1"))
+ONES = Itinerary.periodic(b"1")
 
 
 class TestHandIteratedExamples:
@@ -90,7 +87,7 @@ class TestErrors:
 
     def test_rejects_stream_inconsistent_with_sequence(self):
         nu = KneadingSequence.parse("10*")
-        bogus = Itinerary((Symbol.ONE,), (Symbol.STAR, Symbol.ONE, Symbol.ONE))
+        bogus = Itinerary(b"1", b"*11")
         with pytest.raises(TriodError):
             classify_triod(bogus, ONES, critical_orbit_itinerary(nu, 1), nu)
 
@@ -98,8 +95,8 @@ class TestErrors:
         # unreachable for validated inputs; forcing it requires skipping
         # validation with a stream that lies about what follows its STAR
         nu = KneadingSequence.parse("10*")
-        lying = Itinerary((Symbol.ONE,), (Symbol.STAR, Symbol.ZERO, Symbol.ZERO))
-        honest = Itinerary((Symbol.ONE,), (Symbol.STAR, Symbol.ONE, Symbol.ZERO))
+        lying = Itinerary(b"1", b"*00")
+        honest = Itinerary(b"1", b"*10")
         with pytest.raises(TriodError, match="simultaneous"):
             classify_triod(lying, honest, ONES, nu, validate=False)
 
@@ -109,7 +106,7 @@ class TestAuxiliaryPoints:
         # the two preimages of the critical point lie on opposite sides
         nu = KneadingSequence.parse("10*")
         star_first = nu.word[-1:] + nu.word[:-1]
-        in_zero = Itinerary((Symbol.ZERO,), star_first)
-        in_one = Itinerary((Symbol.ONE,), star_first)
+        in_zero = Itinerary(b"0", star_first)
+        in_one = Itinerary(b"1", star_first)
         result = classify_triod(in_zero, in_one, critical_orbit_itinerary(nu, 0), nu)
         assert result == Middle(3)
