@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Commands: analyze, tree, embed, enumerate, convert.  Exit codes: 0 success,
-1 input error (parse failures, or an embedding request for a non-admissible
-sequence), 2 internal cross-check violation.
+1 input error (parse failures, an out-of-range period, or an embedding
+request for a non-admissible sequence), 2 internal cross-check violation or
+any other internal error.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .atlas import (
     diagnostics_record,
     enumerate_rows,
 )
-from .embedding import EvilOrbitError, enumerate_embeddings, generate_embedding
+from .embedding import EvilOrbitError, _embeddings
 from .sequences import (
     InternalAddress,
     KneadingSequence,
@@ -30,24 +31,24 @@ from .sequences import (
     address_to_sequence,
     internal_address,
 )
-from .tree import build_tree, classify_orbits
+from .tree import build_tree
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_CROSSCHECK = 2
 
 _SEQUENCE_TEXT = re.compile(r"[01]+\*", re.ASCII)
-_ADDRESS_TEXT = re.compile(r"[0-9]+(-[0-9]+)*", re.ASCII)
 
 
 def _parse_input(text: str) -> KneadingSequence:
     """Accept either sequence text ``[01]+\\*`` or address text ``1-k-...``."""
     if _SEQUENCE_TEXT.fullmatch(text):
         return KneadingSequence.parse(text)
-    if _ADDRESS_TEXT.fullmatch(text):
+    try:
         return address_to_sequence(InternalAddress.parse(text))
-    raise ParseError(f"expected a sequence like 10110* or an address like 1-2-4-5-6, "
-                     f"got {text!r}")
+    except ParseError as exc:
+        raise ParseError(f"expected a sequence like 10110* or an address like 1-2-4-5-6, "
+                         f"got {text!r} ({exc})") from None
 
 
 def _render_row(row) -> str:
@@ -118,11 +119,7 @@ def cmd_tree(args) -> int:
 def cmd_embed(args) -> int:
     tree = build_tree(_parse_input(args.input))
     try:
-        if args.all:
-            embeddings = enumerate_embeddings(tree)
-        else:
-            rotations = {o.characteristic: 1 for o in classify_orbits(tree)}
-            embeddings = [generate_embedding(tree, rotations)]
+        embeddings = _embeddings(tree, every=args.all)
     except EvilOrbitError as exc:
         sys.stderr.write(
             "error: no embedding exists; evil periods: "
@@ -176,7 +173,8 @@ def _build_parser() -> argparse.ArgumentParser:
     embed.set_defaults(func=cmd_embed)
 
     enum = sub.add_parser("enumerate", help="atlas of all sequences up to a period bound")
-    enum.add_argument("--period", type=int, required=True,
+    enum.add_argument("--period", type=int, required=True, metavar="N",
+                      choices=range(2, ENUMERATION_CAP + 1),
                       help=f"period bound, 2..{ENUMERATION_CAP}")
     enum.add_argument("--exact", action="store_true", help="exactly this period only")
     enum.add_argument("--jobs", type=int, default=1, help="worker processes")
@@ -200,11 +198,14 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (ParseError, ValueError) as exc:
+    except ParseError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
     except (CrossCheckError, StructuralError) as exc:
         sys.stderr.write(f"cross-check violation: {exc}\n")
+        return EXIT_CROSSCHECK
+    except ValueError as exc:  # raised past the input boundary: a bug, not bad input
+        sys.stderr.write(f"internal error: {exc}\n")
         return EXIT_CROSSCHECK
 
 

@@ -135,10 +135,19 @@ def generate_embedding(tree: HubbardTree, rotations: dict[str, int]) -> Embedded
     image.  The result always passes verify_embedding; a failure is a bug,
     not an input error.
     """
+    return _embed(tree, _tame_orbits(tree), rotations)
+
+
+def _tame_orbits(tree: HubbardTree) -> list[ObservedOrbit]:
     orbits = classify_orbits(tree)
     evil = [o.period for o in orbits if o.kind is OrbitKind.EVIL]
     if evil:
         raise EvilOrbitError(evil)
+    return orbits
+
+
+def _embed(tree: HubbardTree, orbits: list[ObservedOrbit],
+           rotations: dict[str, int]) -> EmbeddedTree:
     expected = {o.characteristic for o in orbits}
     if set(rotations) != expected:
         raise ValueError(f"rotations must be given exactly for {sorted(expected)}")
@@ -194,13 +203,13 @@ def generate_embedding(tree: HubbardTree, rotations: dict[str, int]) -> Embedded
 
 def enumerate_embeddings(tree: HubbardTree) -> list[EmbeddedTree]:
     """Every embedding, one per tuple of coprime rotations, in a fixed order."""
-    orbits = classify_orbits(tree)
-    evil = [o.period for o in orbits if o.kind is OrbitKind.EVIL]
-    if evil:
-        raise EvilOrbitError(evil)
+    return _embeddings(tree, every=True)
+
+
+def _embeddings(tree: HubbardTree, *, every: bool) -> list[EmbeddedTree]:
+    """Every embedding, or only the one with rotation 1 at each characteristic
+    point, from a single classification of the orbits."""
+    orbits = _tame_orbits(tree)
     characteristic = [o.characteristic for o in orbits]
-    choices = [coprime_rotations(o.arms) for o in orbits]
-    embeddings = []
-    for combo in product(*choices):
-        embeddings.append(generate_embedding(tree, dict(zip(characteristic, combo))))
-    return embeddings
+    choices = [coprime_rotations(o.arms) if every else [1] for o in orbits]
+    return [_embed(tree, orbits, dict(zip(characteristic, combo))) for combo in product(*choices)]

@@ -12,11 +12,13 @@ package is derived from such a sequence.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 INFINITY = math.inf
 
 _FLIP = bytes.maketrans(b"01", b"10")
+_ADDRESS_TEXT = re.compile(r"[0-9]+(-[0-9]+)*", re.ASCII)
 
 
 class ParseError(ValueError):
@@ -146,11 +148,10 @@ class InternalAddress:
 
     @classmethod
     def parse(cls, text: str) -> "InternalAddress":
-        try:
-            entries = tuple(int(part) for part in text.split("-"))
-        except ValueError as exc:
-            raise ParseError(f"invalid address text {text!r}") from exc
-        return cls(entries)
+        """Read ASCII address text ``[0-9]+(-[0-9]+)*``, such as ``1-2-4-5-6``."""
+        if not _ADDRESS_TEXT.fullmatch(text):
+            raise ParseError(f"invalid address text {text!r}")
+        return cls(tuple(int(part) for part in text.split("-")))
 
     def __contains__(self, m: int) -> bool:
         return m in self.entries

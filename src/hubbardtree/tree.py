@@ -1,8 +1,8 @@
 """Construction and verification of the tree from itineraries alone.
 
-The vertex set starts from the marked points (critical orbit plus the
-predicted periodic branch orbits) and grows by the interior branch points
-that triod queries expose; edges join vertices with nothing between them.
+The marked points (critical orbit plus the predicted periodic branch
+orbits) are inserted one at a time into a growing tree, each walking toward
+its place by triod queries, which add the interior branch points they meet.
 Everything downstream (axiom checks, characteristic points, local arm
 permutations) is computed from the finished tree, independently of the
 spectrum predictions, and the two sides are compared in classify_orbits.
@@ -14,7 +14,6 @@ import hashlib
 import json
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
 
 from .admissibility import BranchSpectrumEntry, OrbitKind, branch_spectrum
 from .sequences import (
@@ -24,7 +23,7 @@ from .sequences import (
     critical_orbit_itinerary,
     itinerary_consistent_with,
 )
-from .triods import Middle, TriodError, UnrealizedPointError, classify_triod
+from .triods import Branch, Middle, TriodError, UnrealizedPointError, classify_triod
 
 
 class SpectrumMismatchError(StructuralError):
@@ -208,47 +207,19 @@ class HubbardTree:
         return hashlib.sha256(payload.encode("ascii")).hexdigest()
 
 
-class _TriodCache:
-    """Memoized triod results keyed by the sorted itinerary triple.
-
-    Middles are stored as the middle point's itinerary so lookups do not
-    depend on argument order.
-    """
-
-    def __init__(self, seq: KneadingSequence):
-        self.seq = seq
-        self.results: dict[tuple, tuple[str, Itinerary]] = {}
-
-    def classify(self, a: Itinerary, b: Itinerary, c: Itinerary) -> tuple[str, Itinerary]:
-        key = tuple(sorted((a, b, c)))
-        if key not in self.results:
-            try:
-                result = classify_triod(*key, self.seq, validate=False)
-            except TriodError as exc:
-                raise StructuralError(
-                    f"inconsistent triod over vertices "
-                    f"({key[0]}, {key[1]}, {key[2]}) of {self.seq}") from exc
-            if isinstance(result, Middle):
-                self.results[key] = ("middle", key[result.position - 1])
-            else:
-                self.results[key] = ("branch", result.itinerary)
-        return self.results[key]
-
-    def middle(self, a: Itinerary, b: Itinerary, c: Itinerary) -> Itinerary | None:
-        kind, payload = self.classify(a, b, c)
-        return payload if kind == "middle" else None
-
-
 def build_tree(seq: KneadingSequence | str) -> HubbardTree:
     """Assemble the tree for a star-periodic kneading sequence.
 
-    Interior branch points are discovered by running the triod calculus over
-    all vertex triples until no new itinerary appears (every arm of a branch
-    point contains an endpoint, and endpoints are critical orbit points, so
-    the first sweep already finds everything; later sweeps only confirm).
-    Edges connect vertices with no third vertex between them.  The branch
-    spectrum predicted from the sequence is computed once, here, and travels
-    with the tree.
+    Points are inserted one at a time, marked points first.  The triod
+    answer for three points is their median, so a new point x walks edge by
+    edge toward its place: it subdivides an edge it lies on, hangs off the
+    median when that is a new branch point inside the edge, or hangs off a
+    vertex that separates it from every edge.  Each new vertex queues its
+    shift image.  The vertices are then the critical orbit and the branch
+    points (endpoints lie on the critical orbit and branch points map to
+    branch points), at most n + (n - 2) of them for period n.  The branch
+    spectrum predicted from the sequence is computed once, here, and
+    travels with the tree.
     """
     if isinstance(seq, str):
         seq = KneadingSequence.parse(seq)
@@ -257,54 +228,82 @@ def build_tree(seq: KneadingSequence | str) -> HubbardTree:
     for point in base:
         if not itinerary_consistent_with(point.itinerary, seq):
             raise StructuralError(f"marked point {point.id} has inconsistent itinerary")
-
-    cache = _TriodCache(seq)
     marked = {p.itinerary for p in base}
     if len(marked) != len(base):
         raise StructuralError("marked points do not have distinct itineraries")
 
-    itineraries = set(marked)
-    rounds = 0
-    while True:
-        rounds += 1
-        if rounds > 2 * seq.period + 4:
-            raise StructuralError("branch discovery failed to stabilize")
-        discovered = set()
-        for triple in combinations(sorted(itineraries), 3):
-            kind, payload = cache.classify(*triple)
-            if kind == "branch" and payload not in itineraries:
-                discovered.add(payload)
-        if not discovered:
-            break
-        for itin in discovered:
-            itineraries.update(itin.shift_orbit())
+    # insertion-ordered, so the walk (and its triod count) is reproducible
+    adjacency: dict[Itinerary, list[Itinerary]] = {}
+    queue = deque(p.itinerary for p in base)
+
+    def triod(x: Itinerary, a: Itinerary, b: Itinerary) -> Middle | Branch:
+        try:
+            return classify_triod(x, a, b, seq, validate=False)
+        except TriodError as exc:
+            raise StructuralError(
+                f"inconsistent triod over vertices ({x}, {a}, {b}) of {seq}") from exc
+
+    def add(v: Itinerary, *neighbors: Itinerary) -> None:
+        if len(adjacency) == 2 * seq.period - 2:
+            raise StructuralError(f"tree for {seq} exceeds {len(adjacency)} vertices")
+        adjacency[v] = list(neighbors)
+        for w in neighbors:
+            adjacency[w].append(v)
+        queue.append(v.shift())
+
+    while queue:
+        x = queue.popleft()
+        if x in adjacency:
+            continue
+        if len(adjacency) < 2:
+            add(x, *adjacency)
+            continue
+        a = next(iter(adjacency))
+        b = adjacency[a][0]
+        result = triod(x, a, b)
+        while result in (Middle(2), Middle(3)):
+            if result == Middle(2):
+                a, b = b, a
+            # x lies beyond b, seen from a: find the edge at b toward x
+            for w in adjacency[b]:
+                if w != a and (result := triod(x, b, w)) != Middle(2):
+                    a, b = b, w
+                    break
+            else:
+                result = None
+        if result is None:
+            add(x, b)
+            continue
+        m = x
+        if isinstance(result, Branch):
+            m = result.itinerary
+            if m in adjacency or m == x:
+                raise StructuralError(
+                    f"median {m} of ({x}, {a}, {b}) is not a new point of {seq}")
+        adjacency[a].remove(b)
+        adjacency[b].remove(a)
+        add(m, a, b)
+        if m != x:
+            add(x, m)
 
     vertices = list(base) + [
         MarkedPoint(f"p{i}", itin, ("prebranch", i))
-        for i, itin in enumerate(sorted(itineraries - marked))
+        for i, itin in enumerate(sorted(v for v in adjacency if v not in marked))
     ]
-
-    by_itinerary = {v.itinerary: v for v in vertices}
-    edges = []
-    for va, vb in combinations(vertices, 2):
-        between = False
-        for w in vertices:
-            if w.id in (va.id, vb.id):
-                continue
-            if cache.middle(va.itinerary, w.itinerary, vb.itinerary) == w.itinerary:
-                between = True
-                break
-        if not between:
-            edges.append((va.id, vb.id))
+    index = {v.itinerary: i for i, v in enumerate(vertices)}
+    edges = sorted((index[a], index[b]) for a in adjacency for b in adjacency[a]
+                   if index[a] < index[b])
 
     dynamics = {}
     for v in vertices:
-        image = by_itinerary.get(v.itinerary.shift())
+        image = index.get(v.itinerary.shift())
         if image is None:
             raise StructuralError(f"shift image of {v.id} is not a vertex")
-        dynamics[v.id] = image.id
+        dynamics[v.id] = vertices[image].id
 
-    tree = HubbardTree(seq, tuple(vertices), tuple(edges), dynamics, "c0", spectrum)
+    tree = HubbardTree(seq, tuple(vertices),
+                       tuple((vertices[i].id, vertices[j].id) for i, j in edges),
+                       dynamics, "c0", spectrum)
     if len(tree.edges) != len(tree.vertices) - 1 or not tree.is_connected():
         raise StructuralError(
             f"vertex/edge relation for {seq} is not a tree "

@@ -62,20 +62,12 @@ class Middle:
 
     position: int  # 1-based argument position
 
-    @property
-    def is_branch(self) -> bool:
-        return False
-
 
 @dataclass(frozen=True)
 class Branch:
     """The three points span a genuine interior branch point."""
 
     itinerary: Itinerary
-
-    @property
-    def is_branch(self) -> bool:
-        return True
 
 
 TriodResult = Middle | Branch

@@ -57,6 +57,21 @@ class TestAnalyzeCommand:
     def test_other_malformed_inputs(self, bad):
         assert run_cli(["analyze", bad]).returncode == 1
 
+    def test_bare_number_names_both_forms(self, capsys):
+        assert main(["analyze", "11"]) == 1
+        error = capsys.readouterr().err
+        assert "sequence like 10110*" in error and "address like 1-2-4-5-6" in error
+
+    def test_internal_value_error_is_not_an_input_error(self, monkeypatch, capsys):
+        import hubbardtree.cli as cli
+
+        def broken(seq):
+            raise ValueError("stand-in for a bug past the input boundary")
+
+        monkeypatch.setattr(cli, "analyze_sequence", broken)
+        assert main(["analyze", "10110*"]) == 2
+        assert "stand-in" in capsys.readouterr().err
+
     def test_json_row_carries_diagnostics(self):
         result = run_cli(["analyze", "10110*", "--json"])
         record = json.loads(result.stdout)
@@ -106,6 +121,27 @@ class TestEmbedCommand:
         assert result.returncode == 1
         assert "evil periods: 3" in result.stderr
 
+    @pytest.mark.parametrize("argv,count", [
+        (["embed", "110001100010011*", "--all"], 4),
+        (["embed", "110001100010011*"], 1),
+    ])
+    def test_orbits_are_classified_once(self, monkeypatch, capsys, argv, count):
+        import hubbardtree.cli as cli
+        import hubbardtree.embedding as embedding
+
+        calls = []
+        original = embedding.classify_orbits
+
+        def counted(tree):
+            calls.append(tree)
+            return original(tree)
+
+        for module in (cli, embedding):
+            monkeypatch.setattr(module, "classify_orbits", counted, raising=False)
+        assert main(argv) == 0
+        assert len(capsys.readouterr().out.splitlines()) == count
+        assert len(calls) == 1
+
 
 class TestEnumerateCommand:
     def test_exact_period_three(self):
@@ -133,6 +169,13 @@ class TestEnumerateCommand:
     def test_rejects_out_of_range_bound(self):
         assert run_cli(["enumerate", "--period", "1"]).returncode == 1
         assert run_cli(["enumerate", "--period", "99"]).returncode == 1
+
+    @pytest.mark.parametrize("period", ["1", "17"])
+    def test_out_of_range_bound_writes_nothing(self, capsys, period):
+        assert main(["enumerate", "--period", period]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--period" in captured.err
 
     def test_usage_errors_are_input_errors(self):
         assert run_cli(["enumerate"]).returncode == 1

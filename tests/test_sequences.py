@@ -127,6 +127,10 @@ class TestInternalAddress:
             InternalAddress.parse("2-4")
         with pytest.raises(ParseError):
             InternalAddress.parse("1-5-3")
+        # only ASCII [0-9]+(-[0-9]+)*, although int() would read most of these
+        for bad in (" 1-2", "1-2 ", "1_0-20", "１-２", "+1-2", "1--2", "1-", ""):
+            with pytest.raises(ParseError, match="invalid address text"):
+                InternalAddress.parse(bad)
 
 
 class TestAddressToSequence:

@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import pytest
 
+import hubbardtree.tree as tree_module
 from hubbardtree import (
+    Branch,
     HubbardTree,
+    Itinerary,
     KneadingSequence,
     OrbitKind,
     SpectrumMismatchError,
+    StructuralError,
     UnrealizedPointError,
     arm_permutation,
     build_tree,
@@ -109,6 +113,47 @@ class TestBuildTree:
 
     def test_accepts_sequence_text(self):
         assert build_tree(FIG1).to_record() == build_tree(KneadingSequence.parse(FIG1)).to_record()
+
+
+class TestTriodBudget:
+    """Median insertion asks O(V^2) triod queries, not one per vertex triple."""
+
+    @staticmethod
+    def counting(monkeypatch, answer=None):
+        calls = []
+        original = tree_module.classify_triod
+
+        def counted(*args, **kwargs):
+            calls.append(args[:3])
+            return original(*args, **kwargs) if answer is None else answer(*args[:3])
+
+        monkeypatch.setattr(tree_module, "classify_triod", counted)
+        return calls
+
+    @pytest.mark.parametrize("text", [
+        FIG1, FIG2, "110001100010011*", "1010100110001111011010111011100*",
+    ])
+    def test_calls_at_most_v_squared(self, monkeypatch, text):
+        calls = self.counting(monkeypatch)
+        v = len(build_tree(text).vertices)
+        assert len(calls) <= v * v, (text, v, len(calls))
+        first = len(calls)
+        build_tree(text)
+        assert len(calls) == 2 * first
+
+    def test_known_median_is_rejected(self, monkeypatch):
+        # a branch point found inside an edge cannot already be a vertex
+        self.counting(monkeypatch, answer=lambda x, a, b: Branch(a))
+        with pytest.raises(StructuralError, match="not a new point"):
+            build_tree(FIG1)
+
+    def test_runaway_growth_is_bounded(self, monkeypatch):
+        # fresh medians on every query would grow the tree forever
+        fresh = iter(range(1000, 2000))
+        self.counting(monkeypatch,
+                      answer=lambda x, a, b: Branch(Itinerary(b"0" * next(fresh), b"1")))
+        with pytest.raises(StructuralError, match="exceeds 10 vertices"):
+            build_tree(FIG1)
 
 
 class TestVerifyAxioms:
