@@ -3,7 +3,7 @@
 Commands: analyze, tree, embed, enumerate, convert.  Exit codes: 0 success,
 1 input error (parse failures, an out-of-range period, or an embedding
 request for a non-admissible sequence), 2 internal cross-check violation or
-any other internal error.
+any other internal error.  Input periods are bounded by MAX_PERIOD.
 """
 
 from __future__ import annotations
@@ -37,14 +37,30 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_CROSSCHECK = 2
 
+# the largest period accepted as input: cost grows with the tree, and
+# `analyze 1-256` takes ~25 s (Python 3.11, one core of a 2-vCPU Xeon VM)
+MAX_PERIOD = 256
+
 _SEQUENCE_TEXT = re.compile(r"[01]+\*", re.ASCII)
+_DIGITS = re.compile(r"[0-9]+")
 
 
 def _parse_input(text: str) -> KneadingSequence:
-    """Accept either sequence text ``[01]+\\*`` or address text ``1-k-...``."""
+    """Accept either sequence text ``[01]+\\*`` or address text ``1-k-...``
+    of period at most MAX_PERIOD.
+
+    The bound is checked on the text itself, before any word is built, so
+    int() never sees a digit string longer than MAX_PERIOD's own.
+    """
     if _SEQUENCE_TEXT.fullmatch(text):
+        if len(text) > MAX_PERIOD:
+            raise ParseError(f"period {len(text)} exceeds the bound {MAX_PERIOD}")
         return KneadingSequence.parse(text)
     try:
+        if any(len(run) > len(str(MAX_PERIOD)) or int(run) > MAX_PERIOD
+               for run in _DIGITS.findall(text)):
+            raise ParseError(f"address entries are at most {MAX_PERIOD}, "
+                             f"with at most {len(str(MAX_PERIOD))} digits")
         return address_to_sequence(InternalAddress.parse(text))
     except ParseError as exc:
         raise ParseError(f"expected a sequence like 10110* or an address like 1-2-4-5-6, "

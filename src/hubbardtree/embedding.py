@@ -86,18 +86,9 @@ def count_embeddings(tree: HubbardTree | list[ObservedOrbit]) -> int:
     return math.prod(euler_phi(o.arms) for o in orbits)
 
 
-def _direction_map(tree: HubbardTree, vid: str) -> dict[str, str]:
-    """arm (vid -> w) maps to the first edge of the path f(vid) -> f(w)."""
-    image = tree.dynamics[vid]
-    return {
-        w: tree.arm_toward(image, tree.dynamics[w])
-        for w in tree.neighbors(vid)
-    }
-
-
 def verify_embedding(embedded: EmbeddedTree) -> bool:
     """True iff at every branch vertex away from the critical point the
-    direction map embeds the local cyclic order into the one at the image."""
+    tree's arm map embeds the local cyclic order into the one at the image."""
     tree = embedded.tree
     orders = embedded.cyclic_order
     for v in tree.vertices:
@@ -107,7 +98,7 @@ def verify_embedding(embedded: EmbeddedTree) -> bool:
         arms = orders[vid]
         if sorted(arms) != sorted(tree.neighbors(vid)):
             return False
-        direction = _direction_map(tree, vid)
+        direction = tree.arm_map(vid)
         images = [direction[w] for w in arms]
         if len(set(images)) != len(images):
             return False
@@ -179,7 +170,7 @@ def _embed(tree: HubbardTree, orbits: list[ObservedOrbit],
             image = tree.dynamics[vid]
             if image not in cyclic:
                 continue
-            direction = _direction_map(tree, vid)
+            direction = tree.arm_map(vid)
             slots = {w: i for i, w in enumerate(cyclic[image])}
             try:
                 ordered = sorted(tree.neighbors(vid), key=lambda w: slots[direction[w]])

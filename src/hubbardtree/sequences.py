@@ -258,15 +258,6 @@ class Itinerary:
         """The first ``length`` symbols of the stream."""
         return (self.preperiod + self.period * (length // len(self.period) + 1))[:length]
 
-    def shift_orbit(self) -> list["Itinerary"]:
-        """All forward shifts (finitely many, by eventual periodicity)."""
-        orbit = []
-        current = self
-        for _ in range(len(self.preperiod) + len(self.period)):
-            orbit.append(current)
-            current = current.shift()
-        return orbit
-
     def __str__(self) -> str:
         return f"{self.preperiod.decode('ascii')}({self.period.decode('ascii')})"
 
@@ -286,5 +277,6 @@ def critical_orbit_itinerary(seq: KneadingSequence, index: int) -> Itinerary:
 def itinerary_consistent_with(itin: Itinerary, seq: KneadingSequence) -> bool:
     """Whether every STAR in the stream is followed by the sequence itself."""
     value = Itinerary.periodic(seq.word)
-    return all(stream.shift() == value
-               for stream in itin.shift_orbit() if stream.prefix(1) == b"*")
+    stream = itin.preperiod + itin.period
+    return all(Itinerary(stream[k + 1:], itin.period) == value
+               for k, symbol in enumerate(stream) if symbol == ord("*"))

@@ -1,11 +1,13 @@
 """Construction and verification of the tree from itineraries alone.
 
-The marked points (critical orbit plus the predicted periodic branch
-orbits) are inserted one at a time into a growing tree, each walking toward
-its place by triod queries, which add the interior branch points they meet.
-Everything downstream (axiom checks, characteristic points, local arm
-permutations) is computed from the finished tree, independently of the
-spectrum predictions, and the two sides are compared in classify_orbits.
+The critical orbit is inserted one point at a time into a growing tree, each
+point walking toward its place by triod queries, which add the interior
+branch points they meet.  The periodic branch points predicted from the
+sequence are not inserted: each must turn up among the points the walk
+found.  The finished tree is rooted once at the critical point; every path,
+and the local arm map that the axiom checks, characteristic points and arm
+permutations read, comes from that rooting.  The orbits classified from it
+are compared with the predicted spectrum in classify_orbits.
 """
 
 from __future__ import annotations
@@ -93,6 +95,19 @@ class HubbardTree:
         for vid in adjacency:
             adjacency[vid].sort(key=order.__getitem__)
         object.__setattr__(self, "_adjacency", adjacency)
+        # one traversal from the critical point roots the tree; paths climb it
+        parent: dict[str, str | None] = {self.critical: None}
+        depth = {self.critical: 0}
+        stack = [self.critical]
+        while stack:
+            current = stack.pop()
+            for nxt in adjacency[current]:
+                if nxt not in parent:
+                    parent[nxt] = current
+                    depth[nxt] = depth[current] + 1
+                    stack.append(nxt)
+        object.__setattr__(self, "_parent", parent)
+        object.__setattr__(self, "_depth", depth)
 
     def point(self, vid: str) -> MarkedPoint:
         return self._by_id[vid]
@@ -110,47 +125,41 @@ class HubbardTree:
         return [v.id for v in self.vertices if self.degree(v.id) >= 3]
 
     def path(self, start: str, goal: str) -> list[str]:
-        """Unique vertex path between two vertices (BFS; trees are small)."""
-        if start == goal:
-            return [start]
-        parents = {start: None}
-        queue = deque([start])
-        while queue:
-            current = queue.popleft()
-            for nxt in self._adjacency[current]:
-                if nxt not in parents:
-                    parents[nxt] = current
-                    if nxt == goal:
-                        path = [goal]
-                        while parents[path[-1]] is not None:
-                            path.append(parents[path[-1]])
-                        return path[::-1]
-                    queue.append(nxt)
-        raise StructuralError(f"no path from {start} to {goal}: tree is disconnected")
-
-    def component_without(self, removed: str | None, anchor: str) -> set[str]:
-        """Vertex set of the component of anchor once ``removed`` is deleted
-        (with ``removed`` None, the component of anchor in the whole tree)."""
-        if anchor == removed:
-            raise ValueError("anchor must differ from the removed vertex")
-        seen = {anchor}
-        queue = deque([anchor])
-        while queue:
-            current = queue.popleft()
-            for nxt in self._adjacency[current]:
-                if nxt != removed and nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        return seen
+        """Unique vertex path between two vertices: both ends climb the
+        rooting until they meet at their common ancestor."""
+        parent, depth = self._parent, self._depth
+        if start not in depth or goal not in depth:
+            raise StructuralError(f"no path from {start} to {goal}: tree is disconnected")
+        up, down = [start], [goal]
+        while up[-1] != down[-1]:
+            if depth[up[-1]] >= depth[down[-1]]:
+                up.append(parent[up[-1]])
+            else:
+                down.append(parent[down[-1]])
+        return up + down[-2::-1]
 
     def is_connected(self) -> bool:
-        if not self.vertices:
-            return True
-        return len(self.component_without(None, self.vertices[0].id)) == len(self.vertices)
+        return len(self._depth) == len(self.vertices)
 
     def arm_toward(self, vid: str, target: str) -> str:
         """Neighbor of ``vid`` on the path toward ``target``."""
         return self.path(vid, target)[1]
+
+    def arm_map(self, vid: str) -> dict[str, str]:
+        """The local dynamics at ``vid``: the arm toward each neighbor w maps
+        to the first edge of the path from f(vid) toward f(w), named by its
+        far end.
+
+        An arm whose image collapses (f(w) == f(vid)) has no first edge; the
+        map is then not a local homeomorphism and StructuralError is raised.
+        """
+        image = self.dynamics[vid]
+        arms = {}
+        for w in self._adjacency[vid]:
+            if self.dynamics[w] == image:
+                raise StructuralError(f"arm {vid} -> {w} collapses onto {image}")
+            arms[w] = self.arm_toward(image, self.dynamics[w])
+        return arms
 
     def periodic_branch_orbits(self) -> list[list[str]]:
         """Dynamics cycles consisting of branch vertices, characteristic first.
@@ -210,16 +219,18 @@ class HubbardTree:
 def build_tree(seq: KneadingSequence | str) -> HubbardTree:
     """Assemble the tree for a star-periodic kneading sequence.
 
-    Points are inserted one at a time, marked points first.  The triod
-    answer for three points is their median, so a new point x walks edge by
-    edge toward its place: it subdivides an edge it lies on, hangs off the
-    median when that is a new branch point inside the edge, or hangs off a
-    vertex that separates it from every edge.  Each new vertex queues its
-    shift image.  The vertices are then the critical orbit and the branch
-    points (endpoints lie on the critical orbit and branch points map to
-    branch points), at most n + (n - 2) of them for period n.  The branch
-    spectrum predicted from the sequence is computed once, here, and
-    travels with the tree.
+    The critical orbit is inserted one point at a time.  The triod answer
+    for three points is their median, so a new point x walks edge by edge
+    toward its place: it subdivides an edge it lies on, hangs off the median
+    when that is a new branch point inside the edge, or hangs off a vertex
+    that separates it from every edge.  Each new vertex queues its shift
+    image.  The vertices are then the critical orbit and the branch points
+    (endpoints lie on the critical orbit and branch points map to branch
+    points), at most n + (n - 2) of them for period n.  The branch spectrum
+    predicted from the sequence is computed once, here, and travels with the
+    tree; every predicted branch point must be among the vertices found,
+    else StructuralError names it.  Vertices are ordered critical orbit,
+    predicted branch points, then the rest by itinerary.
     """
     if isinstance(seq, str):
         seq = KneadingSequence.parse(seq)
@@ -234,7 +245,7 @@ def build_tree(seq: KneadingSequence | str) -> HubbardTree:
 
     # insertion-ordered, so the walk (and its triod count) is reproducible
     adjacency: dict[Itinerary, list[Itinerary]] = {}
-    queue = deque(p.itinerary for p in base)
+    queue = deque(p.itinerary for p in base[:seq.period])
 
     def triod(x: Itinerary, a: Itinerary, b: Itinerary) -> Middle | Branch:
         try:
@@ -286,6 +297,10 @@ def build_tree(seq: KneadingSequence | str) -> HubbardTree:
         if m != x:
             add(x, m)
 
+    missing = [p.id for p in base[seq.period:] if p.itinerary not in adjacency]
+    if missing:
+        raise StructuralError(
+            f"predicted branch points {', '.join(missing)} of {seq} are not tree vertices")
     vertices = list(base) + [
         MarkedPoint(f"p{i}", itin, ("prebranch", i))
         for i, itin in enumerate(sorted(v for v in adjacency if v not in marked))
@@ -345,15 +360,9 @@ def characteristic_point(tree: HubbardTree, orbit: list[str]) -> str:
     """The unique orbit point separating the critical value from the critical
     point and the rest of its orbit."""
     seq = tree.sequence
-    c0, c1 = "c0", "c1"
-    found = []
-    for z in orbit:
-        value_side = tree.component_without(z, c1)
-        if c0 in value_side:
-            continue
-        critical_side = tree.component_without(z, c0)
-        if all(other in critical_side for other in orbit if other != z):
-            found.append(z)
+    spine = tree.path("c0", "c1")
+    found = [z for z in orbit if z in spine
+             and not any(z in tree.path("c0", other) for other in orbit if other != z)]
     if len(found) != 1:
         raise StructuralError(f"expected one characteristic point in {orbit}, found {found}")
     z = found[0]
@@ -367,21 +376,18 @@ def characteristic_point(tree: HubbardTree, orbit: list[str]) -> str:
 def arm_permutation(tree: HubbardTree, z: str, period: int) -> tuple[dict[str, str], OrbitKind]:
     """First-return permutation of the local arms at a characteristic point.
 
-    Arms are named by the adjacent neighbor; one step sends the arm toward a
-    neighbor w to the first edge of the path from f(z) toward f(w).  The
-    composite over one period must either cycle all arms (tame) or fix the
-    arm toward the critical point and cycle the rest (evil).
+    Arms are named by the adjacent neighbor, and one step is the tree's
+    arm_map at the current vertex.  The composite over one period must
+    either cycle all arms (tame) or fix the arm toward the critical point
+    and cycle the rest (evil).
     """
     arms = tree.neighbors(z)
     current = {arm: arm for arm in arms}
     vertex = z
     for _ in range(period):
-        image_vertex = tree.dynamics[vertex]
-        current = {
-            arm: tree.arm_toward(image_vertex, tree.dynamics[toward])
-            for arm, toward in current.items()
-        }
-        vertex = image_vertex
+        local = tree.arm_map(vertex)
+        current = {arm: local[toward] for arm, toward in current.items()}
+        vertex = tree.dynamics[vertex]
     if vertex != z:
         raise StructuralError(f"{z} does not return to itself after {period} steps")
     permutation = current
@@ -473,20 +479,12 @@ def verify_axioms(tree: HubbardTree) -> dict[str, bool]:
     checks["critical_point_degree"] = tree.degree("c0") <= 2
 
     local = checks["tree_shape"]
-    if checks["tree_shape"]:
-        for v in tree.vertices:
-            if v.id == "c0":
-                continue
-            image = tree.dynamics[v.id]
-            try:
-                directions = {
-                    tree.arm_toward(image, tree.dynamics[w]) for w in tree.neighbors(v.id)
-                }
-            except (StructuralError, IndexError):
-                local = False
-                break
-            if len(directions) != tree.degree(v.id):
-                local = False
+    if local:
+        try:
+            local = all(len(set(tree.arm_map(v.id).values())) == tree.degree(v.id)
+                        for v in tree.vertices if v.id != "c0")
+        except StructuralError:
+            local = False
     checks["local_injectivity"] = local
 
     covered: set[tuple[str, str]] = set()

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hubbardtree import CrossCheckError, analyze_sequence
 from hubbardtree.atlas import (
@@ -17,7 +21,7 @@ from hubbardtree.atlas import (
     enumerate_rows,
     star_periodic_sequences,
 )
-from hubbardtree.cli import main
+from hubbardtree.cli import MAX_PERIOD, main
 from hubbardtree.sequences import KneadingSequence
 
 
@@ -277,6 +281,30 @@ class TestConvertCommand:
             address = capsys.readouterr().out.strip()
             assert main(["convert", address]) == 0
             assert capsys.readouterr().out.strip() == str(seq)
+
+
+class TestInputBound:
+    @pytest.mark.parametrize("argv", [
+        ["convert", "1-" + "9" * 5000],  # too long for int() itself
+        ["analyze", "1-257"],
+        ["analyze", "1" * MAX_PERIOD + "*"],
+    ])
+    def test_period_above_bound_is_an_input_error(self, capsys, argv):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and str(MAX_PERIOD) in captured.err
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(max_size=40)
+           | st.from_regex(r"[0-9]{1,6}(-[0-9]{1,6}){0,4}|[01*]{1,300}", fullmatch=True))
+    @example("1-" + "9" * 5000)
+    def test_any_text_is_accepted_or_an_input_error(self, text):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["convert", text])
+        assert code in (0, 1), (text, err.getvalue())
+        if code == 1:
+            assert out.getvalue() == ""
 
 
 class TestLibrarySide:

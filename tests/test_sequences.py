@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,7 @@ from hubbardtree import (
     upper_lower,
 )
 from hubbardtree.atlas import star_periodic_sequences
+from hubbardtree.sequences import itinerary_consistent_with
 
 
 def oracle_first_mismatch(text: str, offset: int):
@@ -231,6 +234,35 @@ class TestItinerary:
     def test_rejects_two_stars_per_period(self):
         with pytest.raises(ValueError):
             Itinerary.periodic(b"*1*")
+
+    def test_consistency_matches_shift_orbit(self):
+        # reference definition: every shift that starts at a STAR continues
+        # with the sequence itself
+        def by_shifts(itin, seq):
+            value = Itinerary.periodic(seq.word)
+            stream = itin
+            for _ in range(len(itin.preperiod) + len(itin.period)):
+                if stream.prefix(1) == b"*" and stream.shift() != value:
+                    return False
+                stream = stream.shift()
+            return True
+
+        def words(max_length, min_length):
+            for length in range(min_length, max_length + 1):
+                for symbols in product(b"01*", repeat=length):
+                    yield bytes(symbols)
+
+        periods = [word for word in words(4, 1) if word.count(b"*") <= 1]
+        cases = 0
+        for text in ("10*", "110*", "1011*", "10110*"):
+            seq = KneadingSequence.parse(text)
+            for pre in words(3, 0):
+                for per in periods:
+                    itin = Itinerary(pre, per)
+                    assert itinerary_consistent_with(itin, seq) == by_shifts(itin, seq), (
+                        text, itin)
+                    cases += 1
+        assert cases == 12640
 
 
 def _address_entries(seq: KneadingSequence, limit: int) -> list[int]:

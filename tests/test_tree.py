@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from collections import deque
+
 import pytest
 
 import hubbardtree.tree as tree_module
 from hubbardtree import (
     Branch,
+    BranchSpectrumEntry,
     HubbardTree,
     Itinerary,
     KneadingSequence,
@@ -114,6 +117,18 @@ class TestBuildTree:
     def test_accepts_sequence_text(self):
         assert build_tree(FIG1).to_record() == build_tree(KneadingSequence.parse(FIG1)).to_record()
 
+    def test_predicted_branch_point_must_be_found(self, monkeypatch):
+        # the predicted spectrum is checked against the tree, not inserted into it
+        original = tree_module.branch_spectrum
+
+        def with_bogus_fixed_point(seq):
+            return original(seq) + [BranchSpectrumEntry(
+                1, 3, OrbitKind.TAME, Itinerary.periodic(b"1"))]
+
+        monkeypatch.setattr(tree_module, "branch_spectrum", with_bogus_fixed_point)
+        with pytest.raises(StructuralError, match="z1.0"):
+            build_tree(FIG1)
+
 
 class TestTriodBudget:
     """Median insertion asks O(V^2) triod queries, not one per vertex triple."""
@@ -173,6 +188,65 @@ class TestVerifyAxioms:
             tree.sequence, tree.vertices, tree.edges[1:], tree.dynamics, tree.critical)
         checks = verify_axioms(broken)
         assert not checks["tree_shape"]
+
+    def test_collapsed_arm_fails_local_injectivity(self):
+        tree = build_tree(FIG1)
+        dynamics = dict(tree.dynamics)
+        dynamics["c1"] = dynamics["z3.0"]  # the arm z3.0 -> c1 collapses
+        broken = HubbardTree(
+            tree.sequence, tree.vertices, tree.edges, dynamics, tree.critical)
+        checks = verify_axioms(broken)
+        assert checks["tree_shape"] and not checks["local_injectivity"]
+
+
+def bfs_parents(tree: HubbardTree, start: str) -> dict[str, str | None]:
+    """Reference search: the parent of every vertex reached from start."""
+    parents: dict[str, str | None] = {start: None}
+    queue = deque([start])
+    while queue:
+        current = queue.popleft()
+        for nxt in tree.neighbors(current):
+            if nxt not in parents:
+                parents[nxt] = current
+                queue.append(nxt)
+    return parents
+
+
+def bfs_path(parents: dict[str, str | None], goal: str) -> list[str]:
+    path = [goal]
+    while parents[path[-1]] is not None:
+        path.append(parents[path[-1]])
+    return path[::-1]
+
+
+class TestRootedGeometry:
+    """Paths and arm maps read off the rooting agree with a fresh search."""
+
+    def test_paths_match_search(self):
+        for seq in star_periodic_sequences(8):
+            tree = build_tree(seq)
+            for a in tree.vertices:
+                parents = bfs_parents(tree, a.id)
+                for b in tree.vertices:
+                    assert tree.path(a.id, b.id) == bfs_path(parents, b.id), (str(seq), a, b)
+
+    def test_arm_maps_match_search(self):
+        for seq in star_periodic_sequences(8):
+            tree = build_tree(seq)
+            for v in tree.vertices:
+                image = tree.dynamics[v.id]
+                parents = bfs_parents(tree, image)
+                expected = {w: bfs_path(parents, tree.dynamics[w])[1]
+                            for w in tree.neighbors(v.id)}
+                assert tree.arm_map(v.id) == expected, (str(seq), v.id)
+
+    def test_path_across_components_raises(self):
+        tree = build_tree(FIG1)
+        cut = tree.edges[0]
+        broken = HubbardTree(
+            tree.sequence, tree.vertices, tree.edges[1:], tree.dynamics, tree.critical)
+        with pytest.raises(StructuralError, match="disconnected"):
+            broken.path(*cut)
 
 
 class TestCharacteristicPoint:
