@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import product as cartesian
 from multiprocessing import Pool
 from typing import Iterator
@@ -44,20 +44,7 @@ class AtlasRow:
     max_branch_period: int
 
     def to_dict(self) -> dict:
-        return {
-            "sequence": self.sequence,
-            "period": self.period,
-            "internal_address": self.internal_address,
-            "admissible": self.admissible,
-            "failing_periods": list(self.failing_periods),
-            "spectrum": [dict(entry) for entry in self.spectrum],
-            "embeddings": self.embeddings,
-            "tree_hash": self.tree_hash,
-            "vertices": self.vertices,
-            "edges": self.edges,
-            "endpoints": list(self.endpoints),
-            "max_branch_period": self.max_branch_period,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))

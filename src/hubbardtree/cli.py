@@ -28,6 +28,7 @@ from .sequences import (
     KneadingSequence,
     ParseError,
     StructuralError,
+    _excerpt,
     address_to_sequence,
     internal_address,
 )
@@ -64,7 +65,7 @@ def _parse_input(text: str) -> KneadingSequence:
         return address_to_sequence(InternalAddress.parse(text))
     except ParseError as exc:
         raise ParseError(f"expected a sequence like 10110* or an address like 1-2-4-5-6, "
-                         f"got {text!r} ({exc})") from None
+                         f"got {_excerpt(text)} ({exc})") from None
 
 
 def _render_row(row) -> str:

@@ -25,6 +25,12 @@ class ParseError(ValueError):
     """Raised for malformed sequence / address / itinerary text."""
 
 
+def _excerpt(text: str) -> str:
+    """Rejected input as quoted in errors: at most its first 40 characters,
+    with ... marking a cut."""
+    return repr(text) if len(text) <= 40 else repr(text[:40]) + "..."
+
+
 class StructuralError(RuntimeError):
     """A computed object violates a property the theory guarantees."""
 
@@ -150,7 +156,7 @@ class InternalAddress:
     def parse(cls, text: str) -> "InternalAddress":
         """Read ASCII address text ``[0-9]+(-[0-9]+)*``, such as ``1-2-4-5-6``."""
         if not _ADDRESS_TEXT.fullmatch(text):
-            raise ParseError(f"invalid address text {text!r}")
+            raise ParseError(f"invalid address text {_excerpt(text)}")
         return cls(tuple(int(part) for part in text.split("-")))
 
     def __contains__(self, m: int) -> bool:

@@ -113,23 +113,18 @@ def classify_triod(
     cap = sum(loops) + 4 * max(seq.period, 1) * lcm + 16
 
     seen: dict[tuple, int] = {}
-    events: list[tuple[str, int] | None] = []
     recorded: list[int] = []
-    touched = [False, False, False]  # chopped or excluded at any step
+    last = [-1, -1, -1]  # step at which each stream was last chopped or excluded
 
     step = 0
     while True:
         state = (streams[0], streams[1], streams[2])
         if state in seen:
             start = seen[state]
-            cycle = events[start:]
-            untouched = {0, 1, 2}
-            for event in cycle:
-                if event is not None:
-                    untouched.discard(event[1])
+            untouched = [i for i in range(3) if last[i] < start]  # during the cycle
             if len(untouched) == 1:
-                index = untouched.pop()
-                if touched[index]:
+                index = untouched[0]
+                if last[index] >= 0:
                     raise UnrealizedPointError(
                         "cycle survivor was discarded earlier; an input stream "
                         "is not the itinerary of a tree point")
@@ -150,18 +145,16 @@ def classify_triod(
             i = star_indices[0]
             others = [heads[j] for j in range(3) if j != i]
             if others[0] != others[1]:
-                if touched[i]:
+                if last[i] >= 0:
                     raise UnrealizedPointError(
                         "middle candidate was discarded earlier; an input stream "
                         "is not the itinerary of a tree point")
                 return Middle(i + 1)
             recorded.append(others[0])
-            events.append(("E", i))
-            touched[i] = True
+            last[i] = step
             streams = [advance(t, pos) for t, pos in streams]
         elif heads[0] == heads[1] == heads[2]:
             recorded.append(heads[0])
-            events.append(None)
             streams = [advance(t, pos) for t, pos in streams]
         else:
             # exactly one head disagrees (two symbols available, no STAR)
@@ -172,8 +165,7 @@ def classify_triod(
             else:
                 odd, majority = 0, heads[1]
             recorded.append(majority)
-            events.append(("C", odd))
-            touched[odd] = True
+            last[odd] = step
             streams = [(3, 0) if i == odd else advance(t, pos)
                        for i, (t, pos) in enumerate(streams)]
 

@@ -294,6 +294,13 @@ class TestInputBound:
         captured = capsys.readouterr()
         assert captured.out == "" and str(MAX_PERIOD) in captured.err
 
+    @pytest.mark.parametrize("text", ["x" * 5000, "1-" + "9" * 5000], ids=["letters", "digits"])
+    def test_rejected_text_is_quoted_in_part(self, capsys, text):
+        assert main(["convert", text]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.encode()) < 200
+        assert text[:40] + "'..." in captured.err
+
     @settings(max_examples=300, deadline=None)
     @given(st.text(max_size=40)
            | st.from_regex(r"[0-9]{1,6}(-[0-9]{1,6}){0,4}|[01*]{1,300}", fullmatch=True))

@@ -13,10 +13,12 @@ from hubbardtree import (
     HubbardTree,
     Itinerary,
     KneadingSequence,
+    MarkedPoint,
     OrbitKind,
     SpectrumMismatchError,
     StructuralError,
     UnrealizedPointError,
+    analyze_sequence,
     arm_permutation,
     build_tree,
     characteristic_point,
@@ -197,6 +199,48 @@ class TestVerifyAxioms:
             tree.sequence, tree.vertices, tree.edges, dynamics, tree.critical)
         checks = verify_axioms(broken)
         assert checks["tree_shape"] and not checks["local_injectivity"]
+
+    def test_repeated_itinerary_fails_expansivity(self):
+        tree = build_tree(FIG1)
+        twin = tree.point("c4").itinerary
+        vertices = tuple(MarkedPoint(v.id, twin, v.role) if v.id == "c5" else v
+                         for v in tree.vertices)
+        broken = HubbardTree(
+            tree.sequence, vertices, tree.edges, tree.dynamics, tree.critical)
+        checks = verify_axioms(broken)
+        assert checks["tree_shape"] and not checks["expansivity"]
+
+    def test_branch_cycle_through_an_endpoint(self):
+        checks = verify_axioms(endpoint_cycle_tree())
+        assert checks["tree_shape"] and not checks["branch_orbit_degree_constant"]
+
+    def test_branch_cycles_are_whole_cycles(self):
+        assert endpoint_cycle_tree().branch_cycles() == [["c3", "z3.2", "z3.0", "z3.1"]]
+        for seq in star_periodic_sequences(8):
+            tree = build_tree(seq)
+            cycles = {frozenset(c) for c in tree.branch_cycles()}
+            assert cycles == {frozenset(o) for o in tree.periodic_branch_orbits()}
+
+    def test_orbits_are_found_once_per_analysis(self, monkeypatch):
+        calls = []
+        original = HubbardTree.periodic_branch_orbits
+
+        def counted(tree):
+            calls.append(tree)
+            return original(tree)
+
+        monkeypatch.setattr(HubbardTree, "periodic_branch_orbits", counted)
+        analyze_sequence(FIG2)
+        assert len(calls) == 1
+
+
+def endpoint_cycle_tree() -> HubbardTree:
+    """The FIG1 tree with its period-3 branch cycle rerouted through the
+    endpoint c3: z3.0 -> z3.1 -> c3 -> z3.2 -> z3.0."""
+    tree = build_tree(FIG1)
+    dynamics = dict(tree.dynamics)
+    dynamics["z3.1"], dynamics["c3"] = "c3", "z3.2"
+    return HubbardTree(tree.sequence, tree.vertices, tree.edges, dynamics, tree.critical)
 
 
 def bfs_parents(tree: HubbardTree, start: str) -> dict[str, str | None]:
