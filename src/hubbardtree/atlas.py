@@ -13,13 +13,12 @@ import json
 import os
 from dataclasses import dataclass, fields
 from itertools import product as cartesian
-from multiprocessing import Pool
 from typing import Iterator
 
 from .admissibility import OrbitKind, fails_for_period
 from .embedding import count_embeddings
 from .sequences import KneadingSequence, StructuralError, internal_address
-from .tree import HubbardTree, build_tree, classify_orbits, verify_axioms
+from .tree import build_tree, classify_orbits, verify_axioms
 
 ENUMERATION_CAP = 16
 
@@ -49,8 +48,26 @@ class AtlasRow:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
+    def to_text(self) -> str:
+        lines = [
+            f"sequence: {self.sequence}",
+            f"period: {self.period}",
+            f"internal-address: {self.internal_address}",
+            f"admissible: {'true' if self.admissible else 'false'}",
+            "failing-periods: " + (",".join(str(m) for m in self.failing_periods) or "none"),
+        ]
+        lines += [f"orbit: kind={entry['kind']} period={entry['period']} "
+                  f"arms={entry['arms']} itinerary={entry['itinerary']}"
+                  for entry in self.spectrum] or ["orbit: none"]
+        lines.append(
+            f"tree: vertices={self.vertices} edges={self.edges} "
+            f"endpoints={','.join(self.endpoints)} max-branch-period={self.max_branch_period}")
+        lines.append(f"embeddings: {self.embeddings}")
+        lines.append(f"tree-hash: {self.tree_hash}")
+        return "\n".join(lines) + "\n"
 
-def analyze_sequence(seq: KneadingSequence | str) -> tuple[AtlasRow, HubbardTree]:
+
+def analyze_sequence(seq: KneadingSequence | str) -> AtlasRow:
     """Run the pipeline on one sequence and enforce every cross-check.
 
     Raises CrossCheckError when the predicted and observed sides disagree;
@@ -81,7 +98,7 @@ def analyze_sequence(seq: KneadingSequence | str) -> tuple[AtlasRow, HubbardTree
         raise CrossCheckError(
             f"{seq}: embedding count {embeddings} reached the period {seq.period}")
 
-    row = AtlasRow(
+    return AtlasRow(
         sequence=str(seq),
         period=seq.period,
         internal_address=str(internal_address(seq)),
@@ -95,7 +112,6 @@ def analyze_sequence(seq: KneadingSequence | str) -> tuple[AtlasRow, HubbardTree
         endpoints=tuple(sorted(tree.endpoints())),
         max_branch_period=max((o.period for o in orbits), default=0),
     )
-    return row, tree
 
 
 def diagnostics_record(seq: KneadingSequence) -> list[dict]:
@@ -118,8 +134,7 @@ def star_periodic_sequences(max_period: int, *, exact: bool = False) -> list[Kne
 
 
 def _row_json(text: str) -> str:
-    row, _ = analyze_sequence(text)
-    return row.to_json()
+    return analyze_sequence(text).to_json()
 
 
 def atlas_header(max_period: int, exact: bool) -> str:
@@ -145,6 +160,7 @@ def enumerate_rows(max_period: int, *, exact: bool = False, jobs: int = 1) -> It
         for text in texts:
             yield _row_json(text)
         return
+    from multiprocessing import Pool  # imported here so single-sequence commands skip it
     with Pool(jobs) as pool:
         yield from pool.imap(_row_json, texts, chunksize=8)
 
@@ -153,6 +169,5 @@ def embedding_census(period: int) -> int:
     """Total embeddings over every (admissible) sequence of the exact period."""
     total = 0
     for seq in star_periodic_sequences(period, exact=True):
-        row, _ = analyze_sequence(seq)
-        total += row.embeddings
+        total += analyze_sequence(seq).embeddings
     return total

@@ -68,29 +68,6 @@ def _parse_input(text: str) -> KneadingSequence:
                          f"got {_excerpt(text)} ({exc})") from None
 
 
-def _render_row(row) -> str:
-    lines = [
-        f"sequence: {row.sequence}",
-        f"period: {row.period}",
-        f"internal-address: {row.internal_address}",
-        f"admissible: {'true' if row.admissible else 'false'}",
-        "failing-periods: " + (",".join(str(m) for m in row.failing_periods) or "none"),
-    ]
-    if row.spectrum:
-        for entry in row.spectrum:
-            lines.append(
-                f"orbit: kind={entry['kind']} period={entry['period']} "
-                f"arms={entry['arms']} itinerary={entry['itinerary']}")
-    else:
-        lines.append("orbit: none")
-    lines.append(
-        f"tree: vertices={row.vertices} edges={row.edges} "
-        f"endpoints={','.join(row.endpoints)} max-branch-period={row.max_branch_period}")
-    lines.append(f"embeddings: {row.embeddings}")
-    lines.append(f"tree-hash: {row.tree_hash}")
-    return "\n".join(lines) + "\n"
-
-
 def _write(chunks, out: str | None) -> None:
     """Stream text chunks to stdout as they are produced, or to ``out``.
 
@@ -113,13 +90,13 @@ def _write(chunks, out: str | None) -> None:
 
 def cmd_analyze(args) -> int:
     seq = _parse_input(args.input)
-    row, _ = analyze_sequence(seq)
+    row = analyze_sequence(seq)
     if args.json:
         record = row.to_dict()
         record["diagnostics"] = diagnostics_record(seq)
         _write([json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"], args.out)
     else:
-        _write([_render_row(row)], args.out)
+        _write([row.to_text()], args.out)
     return EXIT_OK
 
 

@@ -88,32 +88,31 @@ def count_embeddings(tree: HubbardTree | list[ObservedOrbit]) -> int:
 
 def verify_embedding(embedded: EmbeddedTree) -> bool:
     """True iff at every branch vertex away from the critical point the
-    tree's arm map embeds the local cyclic order into the one at the image."""
+    local cyclic order is a rotation of the order pulled back from the image:
+    the tree's arm map then embeds one into the other."""
     tree = embedded.tree
     orders = embedded.cyclic_order
     for v in tree.vertices:
         vid = v.id
         if vid == tree.critical or tree.degree(vid) < 3:
             continue
-        arms = orders[vid]
-        if sorted(arms) != sorted(tree.neighbors(vid)):
-            return False
-        direction = tree.arm_map(vid)
-        images = [direction[w] for w in arms]
-        if len(set(images)) != len(images):
-            return False
-        target = orders[tree.dynamics[vid]]
-        slots = {w: i for i, w in enumerate(target)}
-        try:
-            positions = [slots[w] for w in images]
-        except KeyError:
-            return False
-        total = len(target)
-        winding = sum((positions[(i + 1) % len(positions)] - positions[i]) % total
-                      for i in range(len(positions)))
-        if winding != total:
+        arms = tuple(orders[vid])
+        pulled = _pulled_order(tree, vid, orders[tree.dynamics[vid]])
+        if pulled is None or arms not in {pulled[i:] + pulled[:i] for i in range(len(pulled))}:
             return False
     return True
+
+
+def _pulled_order(tree: HubbardTree, vid: str, target: tuple[str, ...]) -> tuple[str, ...] | None:
+    """The neighbors of ``vid`` ordered by the slot of their arm-map image in
+    ``target``, the cyclic order at f(vid); None when those images are not
+    distinct arms there."""
+    local = tree.arm_map(vid)
+    slots = {w: i for i, w in enumerate(target)}
+    images = set(local.values())
+    if len(images) != len(local) or not images <= slots.keys():
+        return None
+    return tuple(sorted(local, key=lambda w: slots[local[w]]))
 
 
 def generate_embedding(tree: HubbardTree, rotations: dict[str, int]) -> EmbeddedTree:
@@ -143,10 +142,7 @@ def _embed(tree: HubbardTree, orbits: list[ObservedOrbit],
     if set(rotations) != expected:
         raise ValueError(f"rotations must be given exactly for {sorted(expected)}")
 
-    cyclic: dict[str, tuple[str, ...]] = {}
-    for v in tree.vertices:
-        if tree.degree(v.id) < 3:
-            cyclic[v.id] = tuple(tree.neighbors(v.id))
+    cyclic = {v.id: tuple(tree.neighbors(v.id)) for v in tree.vertices if tree.degree(v.id) < 3}
 
     for orbit in orbits:
         z, q = orbit.characteristic, orbit.arms
@@ -163,28 +159,22 @@ def _embed(tree: HubbardTree, orbits: list[ObservedOrbit],
             arm = orbit.permutation[arm]
         cyclic[z] = tuple(layout)  # type: ignore[arg-type]
 
-    pending = {v.id for v in tree.vertices if v.id not in cyclic}
-    while pending:
-        progressed = False
-        for vid in sorted(pending):
+    # every other order is pulled back along the dynamics from the first
+    # vertex whose order is known; a walk of V vertices has met a branch
+    # cycle without a characteristic point
+    for v in tree.vertices:
+        chain, vid = [], v.id
+        while vid not in cyclic:
+            chain.append(vid)
+            if len(chain) == len(tree.vertices):
+                raise StructuralError(f"no characteristic order on the branch cycle through {vid}")
+            vid = tree.dynamics[vid]
+        for vid in reversed(chain):
             image = tree.dynamics[vid]
-            if image not in cyclic:
-                continue
-            direction = tree.arm_map(vid)
-            slots = {w: i for i, w in enumerate(cyclic[image])}
-            try:
-                ordered = sorted(tree.neighbors(vid), key=lambda w: slots[direction[w]])
-            except KeyError as exc:
-                raise StructuralError(f"direction image at {vid} missing from "
-                                      f"cyclic order at {image}") from exc
-            if len({direction[w] for w in ordered}) != len(ordered):
-                raise StructuralError(f"direction map at {vid} is not injective")
-            cyclic[vid] = tuple(ordered)
-            pending.discard(vid)
-            progressed = True
-            break
-        if not progressed:
-            raise StructuralError(f"cyclic orders could not be propagated to {sorted(pending)}")
+            order = _pulled_order(tree, vid, cyclic[image])
+            if order is None:
+                raise StructuralError(f"arms at {vid} do not pull back from the order at {image}")
+            cyclic[vid] = order
 
     embedded = EmbeddedTree(tree, cyclic, dict(rotations))
     if not verify_embedding(embedded):

@@ -25,7 +25,7 @@ class ParseError(ValueError):
     """Raised for malformed sequence / address / itinerary text."""
 
 
-def _excerpt(text: str) -> str:
+def _excerpt(text: str | bytes) -> str:
     """Rejected input as quoted in errors: at most its first 40 characters,
     with ... marking a cut."""
     return repr(text) if len(text) <= 40 else repr(text[:40]) + "..."
@@ -51,8 +51,10 @@ class KneadingSequence:
         word = self.word
         if not word:
             raise ParseError("empty period word")
-        if not isinstance(word, bytes) or word.translate(None, b"01*"):
-            raise ParseError(f"invalid sequence word {word!r}")
+        if not isinstance(word, bytes):
+            raise ParseError(f"sequence words are bytes, not {type(word).__name__}")
+        if word.translate(None, b"01*"):
+            raise ParseError(f"invalid sequence word {_excerpt(word)}")
         if not word.startswith(b"1"):
             raise ParseError("kneading sequences must start with 1")
         stars = word.count(b"*")
@@ -65,7 +67,7 @@ class KneadingSequence:
     @classmethod
     def parse(cls, text: str) -> "KneadingSequence":
         if not text.isascii():
-            raise ParseError(f"invalid sequence text {text!r}")
+            raise ParseError(f"invalid sequence text {_excerpt(text)}")
         return cls(text.encode("ascii"))
 
     @property
@@ -81,12 +83,6 @@ class KneadingSequence:
         if k < 1:
             raise ValueError("entries are 1-indexed")
         return self.word[(k - 1) % len(self.word)]
-
-    def star_substitutions(self) -> tuple["KneadingSequence", "KneadingSequence"]:
-        """The two sequences obtained by writing 0 resp. 1 for every STAR."""
-        if not self.star_periodic:
-            raise ValueError("sequence has no STAR to substitute")
-        return KneadingSequence(self.word[:-1] + b"0"), KneadingSequence(self.word[:-1] + b"1")
 
     def __str__(self) -> str:
         return self.word.decode("ascii")
@@ -206,7 +202,7 @@ def exact_period(word: bytes) -> int:
 
 
 def upper_lower(seq: KneadingSequence) -> tuple[KneadingSequence, KneadingSequence]:
-    """The two STAR substitutions, ordered (upper, lower).
+    """The two STAR substitutions, 0 and 1 in the final slot, ordered (upper, lower).
 
     Exactly one substitution has the period in its internal address; that one
     is the upper sequence.
@@ -214,7 +210,7 @@ def upper_lower(seq: KneadingSequence) -> tuple[KneadingSequence, KneadingSequen
     if not seq.star_periodic:
         raise ValueError("upper/lower sequences exist only for star-periodic input")
     n = seq.period
-    zero, one = seq.star_substitutions()
+    zero, one = KneadingSequence(seq.word[:-1] + b"0"), KneadingSequence(seq.word[:-1] + b"1")
     zero_has = orbit_contains(zero, 1, n)
     if zero_has == orbit_contains(one, 1, n):
         raise StructuralError(

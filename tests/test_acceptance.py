@@ -12,6 +12,7 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from contextlib import contextmanager
 
 from hubbardtree import (
@@ -109,10 +110,31 @@ def test_criterion_3_remark_list_diagnostics():
             assert is_admissible(seq)
 
 
+def angle_words(n: int) -> Counter:
+    """Kneading words of the external angles a/(2^n - 1) of exact period n
+    under doubling, counted with multiplicity.
+
+    With d = 2^n - 1 and x = 2^(k-1) a mod d, the k-th symbol is * when 2x is
+    a or a + d, 1 when it lies strictly between them, and 0 otherwise.
+    """
+    d = 2 ** n - 1
+    words: Counter = Counter()
+    for a in range(1, d):
+        orbit = [a]
+        while (x := 2 * orbit[-1] % d) != a:
+            orbit.append(x)
+        if len(orbit) == n:
+            words["".join("*" if 2 * x in (a, a + d) else "1" if a < 2 * x < a + d else "0"
+                          for x in orbit)] += 1
+    return words
+
+
 def test_criterion_4_predicted_equals_observed():
-    with criterion(4, "admissibility == no evil orbit, spectrum == observed (period <= 12)"):
+    with criterion(4, "admissibility == no evil orbit, spectrum == observed, "
+                      "angles == 2 x embeddings (period <= 12)"):
         started = time.perf_counter()
         checked = 0
+        angles = sum((angle_words(n) for n in range(2, 13)), Counter())
         for seq in star_periodic_sequences(12):
             tree = build_tree(seq)
             observed = classify_orbits(tree)  # raises on spectrum mismatch
@@ -122,9 +144,15 @@ def test_criterion_4_predicted_equals_observed():
             has_evil = any(o.kind is OrbitKind.EVIL for o in observed)
             assert is_admissible(seq) == (not has_evil), str(seq)
             assert (not failing_periods(seq)) == (not has_evil), str(seq)
+            # independent oracle: each embedding is one parameter-space
+            # component, and each component has two external angles
+            found = angles.pop(str(seq), 0)
+            assert found == 2 * count_embeddings(observed), str(seq)
+            assert (found > 0) == is_admissible(seq), str(seq)
             checked += 1
         elapsed = time.perf_counter() - started
         assert checked == 2047
+        assert not angles, f"angle words matching no sequence: {sorted(angles)[:5]}"
         assert elapsed < 300.0, f"sweep took {elapsed:.1f}s"
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hubbardtree import CrossCheckError, analyze_sequence
+from hubbardtree import CrossCheckError, analyze_sequence, build_tree
 from hubbardtree.atlas import (
     atlas_header,
     diagnostics_record,
@@ -224,7 +224,7 @@ class TestEnumerateCommand:
             def imap(self, func, items, chunksize=1):
                 return map(func, items)
 
-        monkeypatch.setattr(atlas, "Pool", RecordingPool)
+        monkeypatch.setattr("multiprocessing.Pool", RecordingPool)
         monkeypatch.setattr(atlas.os, "cpu_count", lambda: 3)
         serial = list(enumerate_rows(4, exact=True))
         assert list(enumerate_rows(4, exact=True, jobs=64)) == serial
@@ -316,10 +316,17 @@ class TestInputBound:
 
 class TestLibrarySide:
     def test_analyze_row_fields(self):
-        row, tree = analyze_sequence("10110*")
+        row = analyze_sequence("10110*")
         assert row.period == 6
-        assert row.tree_hash == tree.tree_hash()
+        assert row.tree_hash == build_tree("10110*").tree_hash()
         assert row.endpoints == ("c1", "c2", "c3", "c4", "c5")
+
+    def test_cli_import_skips_multiprocessing(self):
+        # only enumerate --jobs > 1 uses the pool; every other command skips its import
+        code = "import sys, hubbardtree.cli; print('multiprocessing' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
 
     def test_header_mentions_version_and_bound(self):
         header = json.loads(atlas_header(7, False))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 
 from hubbardtree import (
@@ -16,7 +18,8 @@ from hubbardtree import (
     verify_embedding,
 )
 from hubbardtree.atlas import star_periodic_sequences
-from hubbardtree.embedding import coprime_rotations
+from hubbardtree.embedding import _embed, coprime_rotations
+from hubbardtree.sequences import StructuralError
 
 FIG1 = "10110*"
 FIG2 = "1011010110*"
@@ -98,6 +101,36 @@ class TestVerifyEmbedding:
         orders[target] = (arms[0], arms[2], arms[1])
         mutated = EmbeddedTree(tree, orders, dict(embedded.rotations))
         assert not verify_embedding(mutated)
+
+
+class TestPullBackWalk:
+    def test_branch_cycle_without_characteristic_order_raises(self):
+        # no rotation given for the period-5 cycle: the walk from any of its
+        # points never meets a known order and must stop instead of looping
+        with pytest.raises(StructuralError):
+            _embed(build_tree(FIG2), [], {})
+
+    def test_any_swap_off_the_fixed_points_fails(self):
+        # at a fixed branch point the swap can be the mirror embedding, which
+        # passes (11* at z1.0); everywhere else the image's order is unchanged
+        swaps = 0
+        for seq in star_periodic_sequences(7):
+            tree = build_tree(seq)
+            if count_embeddings(tree) == 0:
+                continue
+            for embedded in enumerate_embeddings(tree):
+                for vid in tree.branch_vertices():
+                    if vid == tree.critical or tree.dynamics[vid] == vid:
+                        continue
+                    arms = embedded.cyclic_order[vid]
+                    for i, j in combinations(range(len(arms)), 2):
+                        swapped = list(arms)
+                        swapped[i], swapped[j] = arms[j], arms[i]
+                        orders = {**embedded.cyclic_order, vid: tuple(swapped)}
+                        mutated = EmbeddedTree(tree, orders, embedded.rotations)
+                        assert not verify_embedding(mutated), (str(seq), vid, i, j)
+                        swaps += 1
+        assert swaps == 240
 
 
 class TestExhaustion:

@@ -54,6 +54,17 @@ class TestParsing:
         with pytest.raises(ParseError):
             KneadingSequence(word)
 
+    @pytest.mark.parametrize("build,text", [
+        (KneadingSequence.parse, "\u00e9" * 5000),
+        (KneadingSequence, b"2" * 5000),
+    ], ids=["parse-non-ascii", "constructor-bytes"])
+    def test_rejected_text_is_quoted_in_part(self, build, text):
+        with pytest.raises(ParseError) as excinfo:
+            build(text)
+        message = str(excinfo.value)
+        assert len(message) < 200
+        assert repr(text[:40]) + "..." in message
+
     def test_entry_positions(self):
         nu = KneadingSequence.parse("10110*")
         assert nu.word == b"10110*"
