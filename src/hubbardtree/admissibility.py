@@ -7,8 +7,8 @@ geometrically and the two sides are cross-checked against each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .sequences import (
     INFINITY,
@@ -28,8 +28,7 @@ class OrbitKind(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class FailureDiagnostic:
+class FailureDiagnostic(NamedTuple):
     """The three conjuncts of the period-m failure test, individually.
 
     ``fails`` is their conjunction: m is a candidate period missing from the
@@ -49,17 +48,10 @@ class FailureDiagnostic:
         return self.cond1 and self.cond2 and self.cond3
 
     def to_dict(self) -> dict:
-        return {
-            "period": self.period,
-            "cond1": self.cond1,
-            "cond2": self.cond2,
-            "cond3": self.cond3,
-            "fails": self.fails,
-        }
+        return {**self._asdict(), "fails": self.fails}
 
 
-@dataclass(frozen=True)
-class BranchSpectrumEntry:
+class BranchSpectrumEntry(NamedTuple):
     """Predicted periodic branch orbit: period, arm count, kind, and the
     itinerary of its characteristic point (the first ``period`` entries of
     the kneading sequence, repeated)."""

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, fields
 from itertools import product as cartesian
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .admissibility import OrbitKind, fails_for_period
 from .embedding import count_embeddings
@@ -27,8 +26,7 @@ class CrossCheckError(RuntimeError):
     """An atlas row violated one of the cross-validation laws."""
 
 
-@dataclass(frozen=True)
-class AtlasRow:
+class AtlasRow(NamedTuple):
     sequence: str
     period: int
     internal_address: str
@@ -43,7 +41,7 @@ class AtlasRow:
     max_branch_period: int
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return self._asdict()
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from .admissibility import OrbitKind
 from .tree import HubbardTree, ObservedOrbit, StructuralError, classify_orbits
@@ -42,8 +42,7 @@ def euler_phi(q: int) -> int:
     return len(coprime_rotations(q))
 
 
-@dataclass(frozen=True)
-class EmbeddedTree:
+class EmbeddedTree(NamedTuple):
     tree: HubbardTree
     cyclic_order: dict[str, tuple[str, ...]]
     rotations: dict[str, int]

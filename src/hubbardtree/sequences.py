@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 INFINITY = math.inf
 
@@ -35,8 +35,7 @@ class StructuralError(RuntimeError):
     """A computed object violates a property the theory guarantees."""
 
 
-@dataclass(frozen=True)
-class KneadingSequence:
+class KneadingSequence(namedtuple("KneadingSequence", "word")):
     """Periodic symbol sequence, stored as its period word anchored at entry 1.
 
     Two kinds are supported: star-periodic words ``1...*`` (exactly one STAR,
@@ -45,10 +44,10 @@ class KneadingSequence:
     always ``1``.
     """
 
-    word: bytes
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
-    def __post_init__(self) -> None:
-        word = self.word
+    def __new__(cls, word: bytes) -> "KneadingSequence":
         if not word:
             raise ParseError("empty period word")
         if not isinstance(word, bytes):
@@ -63,6 +62,7 @@ class KneadingSequence:
                              "one STAR, in the final slot")
         if stars and len(word) < 2:
             raise ParseError("star-periodic words need period >= 2")
+        return tuple.__new__(cls, (word,))
 
     @classmethod
     def parse(cls, text: str) -> "KneadingSequence":
@@ -130,8 +130,7 @@ def orbit_contains(seq: KneadingSequence, start: int, target: int) -> bool:
     return target in _mismatch_walk(seq, start, target)
 
 
-@dataclass(frozen=True)
-class InternalAddress:
+class InternalAddress(namedtuple("InternalAddress", "entries terminated")):
     """Strictly increasing recoding of a kneading sequence.
 
     ``terminated`` distinguishes a genuinely finite address from one that was
@@ -139,14 +138,15 @@ class InternalAddress:
     addresses).
     """
 
-    entries: tuple[int, ...]
-    terminated: bool = True
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
-    def __post_init__(self) -> None:
-        if not self.entries or self.entries[0] != 1:
+    def __new__(cls, entries: tuple[int, ...], terminated: bool = True) -> "InternalAddress":
+        if not entries or entries[0] != 1:
             raise ParseError("internal addresses start at 1")
-        if any(b <= a for a, b in zip(self.entries, self.entries[1:])):
+        if any(b <= a for a, b in zip(entries, entries[1:])):
             raise ParseError("internal address entries must increase")
+        return tuple.__new__(cls, (entries, terminated))
 
     @classmethod
     def parse(cls, text: str) -> "InternalAddress":
@@ -218,8 +218,7 @@ def upper_lower(seq: KneadingSequence) -> tuple[KneadingSequence, KneadingSequen
     return (zero, one) if zero_has else (one, zero)
 
 
-@dataclass(frozen=True, order=True)
-class Itinerary:
+class Itinerary(namedtuple("Itinerary", "preperiod period")):
     """Eventually periodic symbol stream identifying a point of the tree.
 
     Stored in canonical form: the period word is minimal and the preperiod
@@ -228,11 +227,11 @@ class Itinerary:
     its own hash and sort key.
     """
 
-    preperiod: bytes = b""
-    period: bytes = b""
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
-    def __post_init__(self) -> None:
-        pre, per = self.preperiod, self.period
+    def __new__(cls, preperiod: bytes = b"", period: bytes = b"") -> "Itinerary":
+        pre, per = preperiod, period
         if not per:
             raise ValueError("itineraries need a nonempty period word")
         stars = per.count(b"*")
@@ -243,8 +242,7 @@ class Itinerary:
         while pre and pre[-1] == per[-1]:
             per = per[-1:] + per[:-1]
             pre = pre[:-1]
-        object.__setattr__(self, "preperiod", pre)
-        object.__setattr__(self, "period", per)
+        return tuple.__new__(cls, (pre, per))
 
     @classmethod
     def periodic(cls, word: bytes) -> "Itinerary":

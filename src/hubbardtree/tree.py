@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .admissibility import BranchSpectrumEntry, OrbitKind, branch_spectrum
 from .sequences import (
@@ -37,8 +37,7 @@ class SpectrumMismatchError(StructuralError):
 Role = tuple  # ("critical", k) | ("branch", m, j) | ("prebranch", i)
 
 
-@dataclass(frozen=True)
-class MarkedPoint:
+class MarkedPoint(NamedTuple):
     id: str
     itinerary: Itinerary
     role: Role
@@ -73,34 +72,30 @@ def _marked_points(seq: KneadingSequence,
     return points
 
 
-@dataclass(frozen=True)
 class HubbardTree:
     """The built tree, carrying the branch spectrum predicted from its
-    sequence (computed from the sequence when not given)."""
+    sequence (computed from the sequence when not given).  Nothing mutates a
+    tree after construction; equality is identity."""
 
-    sequence: KneadingSequence
-    vertices: tuple[MarkedPoint, ...]
-    edges: tuple[tuple[str, str], ...]
-    dynamics: dict[str, str]
-    critical: str
-    spectrum: tuple[BranchSpectrumEntry, ...] | None = None
-
-    def __post_init__(self):
-        if self.spectrum is None:
-            object.__setattr__(self, "spectrum", tuple(branch_spectrum(self.sequence)))
-        object.__setattr__(self, "_by_id", {v.id: v for v in self.vertices})
-        adjacency: dict[str, list[str]] = {v.id: [] for v in self.vertices}
-        for a, b in self.edges:
+    def __init__(self, sequence: KneadingSequence, vertices: tuple[MarkedPoint, ...],
+                 edges: tuple[tuple[str, str], ...], dynamics: dict[str, str], critical: str,
+                 spectrum: tuple[BranchSpectrumEntry, ...] | None = None):
+        self.sequence, self.vertices, self.edges = sequence, vertices, edges
+        self.dynamics, self.critical = dynamics, critical
+        self.spectrum = tuple(branch_spectrum(sequence)) if spectrum is None else spectrum
+        self._by_id = {v.id: v for v in vertices}
+        adjacency: dict[str, list[str]] = {v.id: [] for v in vertices}
+        for a, b in edges:
             adjacency[a].append(b)
             adjacency[b].append(a)
-        order = {v.id: i for i, v in enumerate(self.vertices)}
+        order = {v.id: i for i, v in enumerate(vertices)}
         for vid in adjacency:
             adjacency[vid].sort(key=order.__getitem__)
-        object.__setattr__(self, "_adjacency", adjacency)
+        self._adjacency = adjacency
         # one traversal from the critical point roots the tree; paths climb it
-        parent: dict[str, str | None] = {self.critical: None}
-        depth = {self.critical: 0}
-        stack = [self.critical]
+        parent: dict[str, str | None] = {critical: None}
+        depth = {critical: 0}
+        stack = [critical]
         while stack:
             current = stack.pop()
             for nxt in adjacency[current]:
@@ -108,8 +103,7 @@ class HubbardTree:
                     parent[nxt] = current
                     depth[nxt] = depth[current] + 1
                     stack.append(nxt)
-        object.__setattr__(self, "_parent", parent)
-        object.__setattr__(self, "_depth", depth)
+        self._parent, self._depth = parent, depth
 
     def point(self, vid: str) -> MarkedPoint:
         return self._by_id[vid]
@@ -419,8 +413,7 @@ def _cycles(permutation: dict[str, str]) -> list[list[str]]:
     return cycles
 
 
-@dataclass(frozen=True)
-class ObservedOrbit:
+class ObservedOrbit(NamedTuple):
     period: int
     arms: int
     kind: OrbitKind

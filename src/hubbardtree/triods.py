@@ -33,7 +33,7 @@ which violates the precondition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .sequences import Itinerary, KneadingSequence, itinerary_consistent_with
 
@@ -56,15 +56,13 @@ class UnrealizedPointError(TriodError):
     """
 
 
-@dataclass(frozen=True)
-class Middle:
+class Middle(NamedTuple):
     """One of the three queried points lies between the other two."""
 
     position: int  # 1-based argument position
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(NamedTuple):
     """The three points span a genuine interior branch point."""
 
     itinerary: Itinerary

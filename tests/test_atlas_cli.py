@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import pickle
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -327,6 +328,20 @@ class TestLibrarySide:
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
+
+    def test_cli_import_skips_dataclass_machinery(self):
+        # the value types are tuples, so a cold start compiles no dataclass methods
+        code = ("import sys, hubbardtree.cli; "
+                "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
+    def test_row_pickle_round_trip(self):
+        row = analyze_sequence("10110*")
+        copy = pickle.loads(pickle.dumps(row))
+        assert copy == row
+        assert copy.to_json() == row.to_json()
 
     def test_header_mentions_version_and_bound(self):
         header = json.loads(atlas_header(7, False))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 from itertools import product
 
 import pytest
@@ -49,7 +50,7 @@ class TestParsing:
         with pytest.raises(ParseError):
             KneadingSequence.parse(bad)
 
-    @pytest.mark.parametrize("word", [b"1x0*", b"", "10*"])
+    @pytest.mark.parametrize("word", [b"1x0*", b"", "10*", b"2"])
     def test_constructor_rejects_non_words(self, word):
         with pytest.raises(ParseError):
             KneadingSequence(word)
@@ -141,6 +142,8 @@ class TestInternalAddress:
             InternalAddress.parse("2-4")
         with pytest.raises(ParseError):
             InternalAddress.parse("1-5-3")
+        with pytest.raises(ParseError):
+            InternalAddress((2,))
         # only ASCII [0-9]+(-[0-9]+)*, although int() would read most of these
         for bad in (" 1-2", "1-2 ", "1_0-20", "１-２", "+1-2", "1--2", "1-", ""):
             with pytest.raises(ParseError, match="invalid address text"):
@@ -274,6 +277,55 @@ class TestItinerary:
                         text, itin)
                     cases += 1
         assert cases == 12640
+
+
+class TestValueTypes:
+    """The value types are tuples underneath; only their own contract shows."""
+
+    def test_itinerary_keyword_and_positional_normalize_alike(self):
+        by_keyword = Itinerary(preperiod=b"0110", period=b"110110")
+        positional = Itinerary(b"0110", b"110110")
+        assert (by_keyword.preperiod, by_keyword.period) == (b"", b"011")
+        assert (positional.preperiod, positional.period) == (b"", b"011")
+        assert Itinerary(period=b"10") == Itinerary.periodic(b"10")
+
+    def test_itinerary_sorts_and_hashes_as_its_field_pair(self):
+        itins = {Itinerary(pre, per)
+                 for pre in (b"", b"0", b"1", b"01", b"10*")
+                 for per in (b"1", b"0", b"10", b"*1", b"1*0", b"011")}
+        assert len(itins) > 20
+        pairs = [(t.preperiod, t.period) for t in itins]
+        assert [(t.preperiod, t.period) for t in sorted(itins)] == sorted(pairs)
+        assert all(hash(t) == hash(pair) for t, pair in zip(itins, pairs))
+
+    @pytest.mark.parametrize("value", [
+        KneadingSequence(b"10110*"),
+        Itinerary(b"01", b"1*0"),
+        InternalAddress((1, 2, 4, 5, 6)),
+        InternalAddress((1, 3, 7), terminated=False),
+    ], ids=str)
+    def test_pickle_round_trip(self, value):
+        copy = pickle.loads(pickle.dumps(value))
+        assert type(copy) is type(value)
+        assert copy == value
+
+    def test_unpickling_revalidates(self):
+        # tuple.__new__ skips the checks; loading goes through them again
+        forged_word = tuple.__new__(KneadingSequence, (b"2",))
+        with pytest.raises(ParseError):
+            pickle.loads(pickle.dumps(forged_word))
+        forged_address = tuple.__new__(InternalAddress, ((1, 1), True))
+        with pytest.raises(ParseError):
+            pickle.loads(pickle.dumps(forged_address))
+        raw = tuple.__new__(Itinerary, (b"1", b"111"))
+        assert pickle.loads(pickle.dumps(raw)).period == b"1"
+
+    def test_replace_revalidates(self):
+        with pytest.raises(ParseError):
+            KneadingSequence(b"1*")._replace(word=b"2")
+        with pytest.raises(ParseError):
+            InternalAddress((1, 2))._replace(entries=(2,))
+        assert Itinerary.periodic(b"1")._replace(period=b"111") == Itinerary.periodic(b"1")
 
 
 def _address_entries(seq: KneadingSequence, limit: int) -> list[int]:
