@@ -39,7 +39,7 @@ EXIT_INPUT = 1
 EXIT_CROSSCHECK = 2
 
 # the largest period accepted as input: cost grows with the tree, and
-# `analyze 1-256` takes ~25 s (Python 3.11, one core of a 2-vCPU Xeon VM)
+# `analyze 1-256` takes ~1 s (Python 3.11, one core of a 2-vCPU Xeon VM)
 MAX_PERIOD = 256
 
 _SEQUENCE_TEXT = re.compile(r"[01]+\*", re.ASCII)

@@ -11,6 +11,7 @@ package is derived from such a sequence.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from collections import namedtuple
@@ -94,15 +95,25 @@ def first_mismatch(seq: KneadingSequence, offset: int):
     agree forever.
 
     The pair ``(seq[k], seq[k - offset])`` is periodic in ``k`` with the word
-    length as a period, so one full window decides the infinite case.
+    length as a period, so one full window decides the infinite case, and
+    ``k - offset`` depends only on ``offset`` modulo the period.
     """
     if offset < 1:
         raise ValueError("offset must be >= 1")
-    word, p = seq.word, seq.period
-    for k in range(offset + 1, offset + p + 1):
-        if word[(k - 1) % p] != word[(k - 1 - offset) % p]:
-            return k
-    return INFINITY
+    distance = _mismatch_distances(seq.word)[offset % len(seq.word)]
+    return INFINITY if distance is None else offset + distance
+
+
+@functools.lru_cache(maxsize=8)
+def _mismatch_distances(word: bytes) -> tuple[int | None, ...]:
+    """For each rotation r of ``word``, one plus the first index where the
+    rotation differs from ``word``, or None when they are equal."""
+    n, base = len(word), int.from_bytes(word, "big")
+    distances = []
+    for r in range(n):
+        diff = int.from_bytes(word[r:] + word[:r], "big") ^ base
+        distances.append(n + 1 - (diff.bit_length() + 7) // 8 if diff else None)
+    return tuple(distances)
 
 
 def _mismatch_walk(seq: KneadingSequence, k: int, bound=INFINITY):
@@ -250,9 +261,10 @@ class Itinerary(namedtuple("Itinerary", "preperiod period")):
 
     def shift(self) -> "Itinerary":
         """Drop the first symbol (one step of the dynamics)."""
+        # the shift of a canonical itinerary is canonical: no renormalizing
         if self.preperiod:
-            return Itinerary(self.preperiod[1:], self.period)
-        return Itinerary(b"", self.period[1:] + self.period[:1])
+            return tuple.__new__(Itinerary, (self.preperiod[1:], self.period))
+        return tuple.__new__(Itinerary, (b"", self.period[1:] + self.period[:1]))
 
     def prefix(self, length: int) -> bytes:
         """The first ``length`` symbols of the stream."""

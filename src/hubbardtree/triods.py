@@ -28,16 +28,28 @@ exactly one untouched index means MIDDLE, none means the center is a fourth
 point whose itinerary is the recorded symbols (preamble + cycle).  Two or
 more untouched indices can only happen when two input streams were equal,
 which violates the precondition.
+
+The streams are read from tapes laid out once per sequence (see _Tapes).
+A run of all-equal heads only records and shifts, so it is taken in one
+step: the run ends at the first difference of the three windows (the top
+bit of their XOR) or at the first STAR.  States are then keyed only at
+events (exclude, chop, middle); the answer is unchanged, because a repeated
+state still closes whole periods of the state sequence, so the same streams
+stay untouched during it, and Itinerary normalization absorbs the later
+cycle start.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from _thread import allocate_lock  # threading's own import would cost a cold start
 from typing import NamedTuple
 
 from .sequences import Itinerary, KneadingSequence, itinerary_consistent_with
 
 _STAR = ord("*")
+_UNSEPARATED = "two streams never separated; inputs are not itineraries of distinct tree points"
 
 
 class TriodError(RuntimeError):
@@ -71,6 +83,57 @@ class Branch(NamedTuple):
 TriodResult = Middle | Branch
 
 
+class _Tapes:
+    """Every itinerary queried for one sequence, laid end to end on one tape.
+
+    An itinerary's region is its preperiod and enough copies of its period
+    that ``reach`` symbols can be sliced from each of its states (its first
+    preperiod + period positions); ``canon`` maps every position of a region
+    back to the state it reads, so a stream is one position.  ``reach`` is
+    three times the longest itinerary laid out: streams that agree over that
+    many symbols agree forever (Fine and Wilf).  A longer itinerary starts a
+    fresh layout.
+    """
+
+    def __init__(self, seq: KneadingSequence):
+        self.value = Itinerary.periodic(seq.word)
+        self.lock = allocate_lock()
+        self.layout = (bytearray(), [], 0, {})  # tape, canon, reach, region starts
+
+    def locate(self, points: tuple[Itinerary, ...]) -> tuple[tuple, list[int]]:
+        """The layout and the region starts of the points and the critical value."""
+        itineraries = (*points, self.value)
+        layout = self.layout
+        starts = [layout[3].get(p) for p in itineraries]
+        if None in starts:
+            with self.lock:
+                longest = max(len(p.preperiod) + len(p.period) for p in itineraries)
+                if 3 * longest > self.layout[2]:
+                    self.layout = (bytearray(), [], 3 * longest, {})
+                layout = self.layout
+                for p in itineraries:
+                    if p not in layout[3]:
+                        _lay(layout, p)
+                starts = [layout[3][p] for p in itineraries]
+        return layout, starts
+
+
+def _lay(layout: tuple, itin: Itinerary) -> None:
+    """Append the region of ``itin`` to the layout."""
+    tape, canon, reach, start = layout
+    (pre, per), at = itin, len(tape)
+    size = len(pre) + len(per)
+    region = pre + per * ((size + reach) // len(per) + 1)
+    cycle = list(range(at + len(pre), at + size))  # the states of the period
+    tape += region
+    canon += range(at, at + size)
+    canon += (cycle * (len(region) // len(per)))[:len(region) - size]
+    start[itin] = at
+
+
+_tapes = functools.lru_cache(maxsize=1)(_Tapes)  # the layout of the last sequence asked for
+
+
 def classify_triod(
     t1: Itinerary,
     t2: Itinerary,
@@ -94,31 +157,40 @@ def classify_triod(
             if not itinerary_consistent_with(p, seq):
                 raise TriodError(f"itinerary {p} does not follow {seq} after its STAR")
 
-    # a tape is preperiod + period, read at positions that wrap back to the
-    # start of the period; tape 3 is the replacement stream of a chop
-    value = Itinerary.periodic(seq.word)
-    itineraries = (*points, value)
-    tapes = [p.preperiod + p.period for p in itineraries]
-    loops = [len(p.preperiod) for p in itineraries]
-    streams = [(0, 0), (1, 0), (2, 0)]  # (tape index, position)
-
-    def advance(t: int, pos: int) -> tuple[int, int]:
-        pos += 1
-        return (t, pos if pos < len(tapes[t]) else loops[t])
-
+    (tape, canon, reach, _), (*pos, value) = _tapes(seq).locate(points)
     # generous safety net; genuine queries cycle long before this
-    lcm = math.lcm(*(len(p.period) for p in itineraries))
-    cap = sum(loops) + 4 * max(seq.period, 1) * lcm + 16
+    lcm = math.lcm(len(seq.word), len(t1.period), len(t2.period), len(t3.period))
+    cap = len(t1.preperiod + t2.preperiod + t3.preperiod) + 4 * len(seq.word) * lcm + 16
 
     seen: dict[tuple, int] = {}
-    recorded: list[int] = []
+    recorded = bytearray()
     last = [-1, -1, -1]  # step at which each stream was last chopped or excluded
 
+    a, b, c = pos
     step = 0
     while True:
-        state = (streams[0], streams[1], streams[2])
-        if state in seen:
-            start = seen[state]
+        if step > cap:
+            raise TriodError("triod iteration exceeded its cycle bound (structural bug)")
+        heads = x, y, z = tape[a], tape[b], tape[c]
+        if x == y == z != _STAR:
+            # take the whole run: up to the first difference or STAR
+            window = tape[a:a + reach]
+            first = int.from_bytes(window, "big")
+            diff = ((first ^ int.from_bytes(tape[b:b + reach], "big"))
+                    | (first ^ int.from_bytes(tape[c:c + reach], "big")))
+            run = reach - (diff.bit_length() + 7) // 8
+            star = window.find(_STAR, 0, run)
+            if star >= 0:
+                run = star
+            elif run == reach:
+                raise TriodError(_UNSEPARATED)
+            recorded += window[:run]
+            a, b, c = canon[a + run], canon[b + run], canon[c + run]
+            step += run
+            continue
+
+        start = seen.setdefault((a, b, c), step)
+        if start != step:
             untouched = [i for i in range(3) if last[i] < start]  # during the cycle
             if len(untouched) == 1:
                 index = untouched[0]
@@ -130,18 +202,13 @@ def classify_triod(
             if not untouched:
                 symbols = bytes(recorded)
                 return Branch(Itinerary(symbols[:start], symbols[start:]))
-            raise TriodError("two streams never separated; inputs are not "
-                             "itineraries of distinct tree points")
-        seen[state] = step
+            raise TriodError(_UNSEPARATED)
 
-        heads = [tapes[t][pos] for t, pos in streams]
-        star_indices = [i for i, h in enumerate(heads) if h == _STAR]
-        if len(star_indices) > 1:
-            raise TriodError("two streams hit the critical point simultaneously")
-
-        if star_indices:
-            i = star_indices[0]
-            others = [heads[j] for j in range(3) if j != i]
+        if _STAR in heads:
+            if heads.count(_STAR) > 1:
+                raise TriodError("two streams hit the critical point simultaneously")
+            i = heads.index(_STAR)
+            others = heads[:i] + heads[i + 1:]
             if others[0] != others[1]:
                 if last[i] >= 0:
                     raise UnrealizedPointError(
@@ -150,23 +217,19 @@ def classify_triod(
                 return Middle(i + 1)
             recorded.append(others[0])
             last[i] = step
-            streams = [advance(t, pos) for t, pos in streams]
-        elif heads[0] == heads[1] == heads[2]:
-            recorded.append(heads[0])
-            streams = [advance(t, pos) for t, pos in streams]
+            a, b, c = canon[a + 1], canon[b + 1], canon[c + 1]
+        # exactly one head disagrees (two symbols available, no STAR): chop it,
+        # restarting its stream at the critical value
+        elif x == y:
+            recorded.append(x)
+            last[2] = step
+            a, b, c = canon[a + 1], canon[b + 1], value
+        elif x == z:
+            recorded.append(x)
+            last[1] = step
+            a, b, c = canon[a + 1], value, canon[c + 1]
         else:
-            # exactly one head disagrees (two symbols available, no STAR)
-            if heads[0] == heads[1]:
-                odd, majority = 2, heads[0]
-            elif heads[0] == heads[2]:
-                odd, majority = 1, heads[0]
-            else:
-                odd, majority = 0, heads[1]
-            recorded.append(majority)
-            last[odd] = step
-            streams = [(3, 0) if i == odd else advance(t, pos)
-                       for i, (t, pos) in enumerate(streams)]
-
+            recorded.append(y)
+            last[0] = step
+            a, b, c = value, canon[b + 1], canon[c + 1]
         step += 1
-        if step > cap:
-            raise TriodError("triod iteration exceeded its cycle bound (structural bug)")

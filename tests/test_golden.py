@@ -12,6 +12,7 @@ import hashlib
 
 import pytest
 
+from hubbardtree import InternalAddress, address_to_sequence, build_tree
 from hubbardtree.cli import main
 
 ATLAS_ROWS = {
@@ -53,6 +54,14 @@ COMMANDS = [
     (["convert", "1-2-4-5-11"], 0, "464acc6959c23cbf8c793f7dab9104000f56eb7687475bc86acbd08924780e61"),
 ]
 
+# tree hashes of the star family, whose trees have one high-degree branch
+# point: 1-256 is a star around a 256-armed fixed point
+STAR_FAMILY = {
+    "1-256": "acefe829a4608593f41aba3471ff020f32d4c84b0c3566811ef563333d26b0f1",
+    "1-2-256": "63fb630bd7a63fbfd62f91b02f6e032ec092d73f4e1b7dfd6f660791a548b1f4",
+    "1-100-200-256": "10404dcfff12aca8ea616d50cec1e5ee9a414f4d0fa4dcdb26839a2680fa7965",
+}
+
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("ascii")).hexdigest()
@@ -77,3 +86,9 @@ def test_atlas_rows(capsys, period):
 def test_command_stdout(capsys, argv, exit_code, digest):
     code, out = _run(capsys, argv)
     assert (code, _sha256(out)) == (exit_code, digest)
+
+
+@pytest.mark.parametrize("address", sorted(STAR_FAMILY))
+def test_star_family_tree_hash(address):
+    tree = build_tree(address_to_sequence(InternalAddress.parse(address)))
+    assert tree.tree_hash() == STAR_FAMILY[address]

@@ -6,7 +6,7 @@ import pickle
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hubbardtree import (
@@ -93,6 +93,24 @@ class TestFirstMismatch:
     def test_matches_oracle_on_random_words(self, text, offset):
         seq = KneadingSequence.parse(text)
         assert first_mismatch(seq, offset) == oracle_first_mismatch(text, offset)
+
+    def test_table_matches_window_definition(self):
+        # every plain and star-periodic word of period <= 10, every offset up
+        # to three periods; an infinite answer is the INFINITY object itself,
+        # since callers test `is INFINITY`
+        words = [b"1" + bytes(middle) + end
+                 for n in range(1, 11)
+                 for end in (b"", b"*") if n >= 1 + len(end)
+                 for middle in product(b"01", repeat=n - 1 - len(end))]
+        assert len(words) == 1023 + 511
+        for word in words:
+            seq, text = KneadingSequence(word), word.decode()
+            for offset in range(1, 3 * len(word) + 1):
+                expected = oracle_first_mismatch(text, offset)
+                if expected is INFINITY:
+                    assert first_mismatch(seq, offset) is INFINITY, (text, offset)
+                else:
+                    assert first_mismatch(seq, offset) == expected, (text, offset)
 
 
 class TestMismatchOrbit:
@@ -226,6 +244,27 @@ class TestItinerary:
     def test_shift_plain_period(self):
         itin = Itinerary.periodic(b"10")
         assert str(itin.shift()) == "(01)"
+
+    @pytest.mark.parametrize("star", [False, True], ids=["no-star", "star"])
+    @pytest.mark.parametrize("preperiod", [False, True], ids=["periodic", "preperiodic"])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_shift_is_already_canonical(self, star, preperiod, data):
+        # shift() skips renormalizing; the normalizing constructor agrees
+        period = data.draw(st.text(alphabet="01", min_size=1, max_size=8)).encode()
+        if star:
+            at = data.draw(st.integers(0, len(period)))
+            period = period[:at] + b"*" + period[at:]
+        pre = data.draw(st.text(alphabet="01*", min_size=int(preperiod), max_size=6 * preperiod))
+        itin = Itinerary(pre.encode(), period)
+        assume(bool(itin.preperiod) == preperiod)
+        if itin.preperiod:
+            expected = Itinerary(itin.preperiod[1:], itin.period)
+        else:
+            expected = Itinerary(b"", itin.period[1:] + itin.period[:1])
+        shifted = itin.shift()
+        assert type(shifted) is Itinerary
+        assert (shifted.preperiod, shifted.period) == (expected.preperiod, expected.period)
 
     def test_normalization_minimizes(self):
         raw = Itinerary(b"1", b"111")

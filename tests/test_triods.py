@@ -2,19 +2,31 @@
 
 from __future__ import annotations
 
+import math
+import random
+from collections import Counter
 from itertools import permutations
 
 import pytest
 
+import hubbardtree.tree as tree_module
 from hubbardtree import (
     Branch,
     Itinerary,
     KneadingSequence,
     Middle,
     TriodError,
+    UnrealizedPointError,
+    build_tree,
     classify_triod,
+    closest_precritical_itinerary,
     critical_orbit_itinerary,
 )
+from hubbardtree.atlas import star_periodic_sequences
+from hubbardtree.sequences import itinerary_consistent_with
+from hubbardtree.triods import TriodResult
+
+_STAR = ord("*")
 ONES = Itinerary.periodic(b"1")
 
 
@@ -110,3 +122,196 @@ class TestAuxiliaryPoints:
         in_one = Itinerary(b"1", star_first)
         result = classify_triod(in_zero, in_one, critical_orbit_itinerary(nu, 0), nu)
         assert result == Middle(3)
+
+
+# -- reference oracle --------------------------------------------------------
+
+def reference_classify_triod(
+    t1: Itinerary,
+    t2: Itinerary,
+    t3: Itinerary,
+    seq: KneadingSequence,
+    *,
+    validate: bool = True,
+) -> TriodResult:
+    """The triod kernel one symbol at a time, keying every state: the
+    reference the run-skipping kernel in ``hubbardtree.triods`` must match
+    in answers, exception types and messages."""
+    points = (t1, t2, t3)
+    if len(set(points)) != 3:
+        raise TriodError("triod points must be pairwise distinct")
+    if validate:
+        for p in points:
+            if not itinerary_consistent_with(p, seq):
+                raise TriodError(f"itinerary {p} does not follow {seq} after its STAR")
+
+    # a tape is preperiod + period, read at positions that wrap back to the
+    # start of the period; tape 3 is the replacement stream of a chop
+    value = Itinerary.periodic(seq.word)
+    itineraries = (*points, value)
+    tapes = [p.preperiod + p.period for p in itineraries]
+    loops = [len(p.preperiod) for p in itineraries]
+    streams = [(0, 0), (1, 0), (2, 0)]  # (tape index, position)
+
+    def advance(t: int, pos: int) -> tuple[int, int]:
+        pos += 1
+        return (t, pos if pos < len(tapes[t]) else loops[t])
+
+    # generous safety net; genuine queries cycle long before this
+    lcm = math.lcm(*(len(p.period) for p in itineraries))
+    cap = sum(loops) + 4 * max(seq.period, 1) * lcm + 16
+
+    seen: dict[tuple, int] = {}
+    recorded: list[int] = []
+    last = [-1, -1, -1]  # step at which each stream was last chopped or excluded
+
+    step = 0
+    while True:
+        state = (streams[0], streams[1], streams[2])
+        if state in seen:
+            start = seen[state]
+            untouched = [i for i in range(3) if last[i] < start]  # during the cycle
+            if len(untouched) == 1:
+                index = untouched[0]
+                if last[index] >= 0:
+                    raise UnrealizedPointError(
+                        "cycle survivor was discarded earlier; an input stream "
+                        "is not the itinerary of a tree point")
+                return Middle(index + 1)
+            if not untouched:
+                symbols = bytes(recorded)
+                return Branch(Itinerary(symbols[:start], symbols[start:]))
+            raise TriodError("two streams never separated; inputs are not "
+                             "itineraries of distinct tree points")
+        seen[state] = step
+
+        heads = [tapes[t][pos] for t, pos in streams]
+        star_indices = [i for i, h in enumerate(heads) if h == _STAR]
+        if len(star_indices) > 1:
+            raise TriodError("two streams hit the critical point simultaneously")
+
+        if star_indices:
+            i = star_indices[0]
+            others = [heads[j] for j in range(3) if j != i]
+            if others[0] != others[1]:
+                if last[i] >= 0:
+                    raise UnrealizedPointError(
+                        "middle candidate was discarded earlier; an input stream "
+                        "is not the itinerary of a tree point")
+                return Middle(i + 1)
+            recorded.append(others[0])
+            last[i] = step
+            streams = [advance(t, pos) for t, pos in streams]
+        elif heads[0] == heads[1] == heads[2]:
+            recorded.append(heads[0])
+            streams = [advance(t, pos) for t, pos in streams]
+        else:
+            # exactly one head disagrees (two symbols available, no STAR)
+            if heads[0] == heads[1]:
+                odd, majority = 2, heads[0]
+            elif heads[0] == heads[2]:
+                odd, majority = 1, heads[0]
+            else:
+                odd, majority = 0, heads[1]
+            recorded.append(majority)
+            last[odd] = step
+            streams = [(3, 0) if i == odd else advance(t, pos)
+                       for i, (t, pos) in enumerate(streams)]
+
+        step += 1
+        if step > cap:
+            raise TriodError("triod iteration exceeded its cycle bound (structural bug)")
+
+
+def _outcome(kernel, args, validate):
+    try:
+        return kernel(*args, validate=validate)
+    except TriodError as exc:
+        return type(exc), str(exc)
+
+
+def _differential_corpus() -> list[tuple[tuple, bool]]:
+    """Seeded triod queries: (t1, t2, t3, seq) and the validate flag."""
+    corpus = []
+    kernel = tree_module.classify_triod
+
+    def recording(*args, validate=True):
+        corpus.append((args, validate))
+        return kernel(*args, validate=validate)
+
+    # every query build_tree makes for periods <= 10, with validate as sent
+    tree_module.classify_triod = recording
+    try:
+        trees = [build_tree(seq) for seq in star_periodic_sequences(10)]
+    finally:
+        tree_module.classify_triod = kernel
+    corpus += [(args, not validate) for args, validate in corpus]
+
+    rng = random.Random(2008)
+
+    def word(low, high, symbols=b"01"):
+        return bytes(rng.choice(symbols) for _ in range(rng.randint(low, high)))
+
+    def sample(pool, seq):
+        corpus.append((tuple(rng.sample(pool, 3)) + (seq,), rng.random() < 0.5))
+
+    for tree in trees:
+        seq = tree.sequence
+        vertices = [v.itinerary for v in tree.vertices]
+        star_first = seq.word[-1:] + seq.word[:-1]
+        consistent = [Itinerary(word(0, 6), word(1, 6)),  # never meets the critical point
+                      Itinerary(word(0, 4), star_first),  # a preimage of the critical point
+                      Itinerary(word(0, 4), seq.word)]  # a preimage of the critical value
+        inconsistent = [Itinerary(word(0, 4, b"01*"), word(0, 3) + b"*" + word(0, 3))
+                        for _ in range(3)]
+        for _ in range(4):
+            if len(vertices) >= 3:
+                sample(vertices, seq)
+            sample(vertices + consistent, seq)
+            sample(vertices[:3] + inconsistent, seq)
+        x, y = rng.sample(vertices, 2)
+        corpus.append(((x, y, x, seq), True))
+        if seq.period <= 9:
+            # the symbolic precritical points lies_between asks about
+            c0, c1 = critical_orbit_itinerary(seq, 0), critical_orbit_itinerary(seq, 1)
+            zetas = [closest_precritical_itinerary(seq, k) for k in range(1, seq.period + 1)]
+            corpus += [((c0, z, c1, seq), True) for z in zetas if z not in (c0, c1)]
+            corpus += [((c1, z, w, seq), True) for z in zetas for w in zetas
+                       if len({c1, z, w}) == 3]
+    for _ in range(5000):
+        # plain periodic words: the critical value never meets a STAR
+        seq = KneadingSequence(b"1" + word(0, 5))
+        pool = [Itinerary(word(0, 4), word(1, 4)), Itinerary(word(0, 4), word(1, 4)),
+                Itinerary(word(0, 3), seq.word), Itinerary(word(0, 3), seq.word)]
+        pool += [Itinerary(word(0, 4, b"01*"), word(0, 3) + b"*" + word(0, 3))
+                 for _ in range(2)]
+        sample(pool, seq)
+    # inconsistent streams whose cycle survivor was chopped or excluded before
+    # the cycle; a random search finds about one in 7000 such queries
+    for word_text, *texts in [("1", "(11*1)", "(*0)", "11(1*)"),
+                              ("11", "0100(111*)", "00(*11)", "00(11*)"),
+                              ("101", "10(011)", "101(10*)", "00(1)")]:
+        points = tuple(Itinerary(*text[:-1].encode().split(b"(")) for text in texts)
+        corpus.append((points + (KneadingSequence(word_text.encode()),), False))
+    return corpus
+
+
+class TestAgainstReference:
+    def test_kernels_agree_on_seeded_corpus(self):
+        corpus = _differential_corpus()
+        assert len(corpus) >= 40_000
+        kinds = Counter()
+        for args, validate in corpus:
+            expected = _outcome(reference_classify_triod, args, validate)
+            assert _outcome(classify_triod, args, validate) == expected, (args, validate)
+            kinds[type(expected).__name__ if isinstance(expected, (Middle, Branch)) else
+                  f"{expected[0].__name__}: {expected[1]}"] += 1
+        # every answer and every error the kernel can give appears
+        for kind in ["Middle", "Branch",
+                     "TriodError: triod points must be pair",
+                     "TriodError: two streams never separa",
+                     "TriodError: two streams hit the crit",
+                     "UnrealizedPointError: middle candidate was dis",
+                     "UnrealizedPointError: cycle survivor was disca"]:
+            assert any(key.startswith(kind) for key in kinds), (kind, kinds)
+        assert any(key.startswith("TriodError: itinerary") for key in kinds), kinds
