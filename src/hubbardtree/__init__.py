@@ -7,6 +7,7 @@ from .admissibility import (
     FailureDiagnostic,
     OrbitKind,
     branch_spectrum,
+    diagnostics_record,
     evil_arm_count,
     failing_periods,
     fails_for_period,
@@ -17,7 +18,6 @@ from .atlas import (
     AtlasRow,
     CrossCheckError,
     analyze_sequence,
-    diagnostics_record,
     embedding_census,
     enumerate_rows,
     star_periodic_sequences,

@@ -98,11 +98,41 @@ def fails_for_period(seq: KneadingSequence, m: int) -> FailureDiagnostic:
     return FailureDiagnostic(m, cond1, cond2, cond3)
 
 
-def failing_periods(seq: KneadingSequence) -> list[int]:
-    """All failing periods; the scan range 1..period-1 is exhaustive."""
+def _diagnostics(seq: KneadingSequence) -> list[FailureDiagnostic]:
+    """The one pass over the candidate periods 1..period-1, which is
+    exhaustive for a star-periodic sequence."""
     if not seq.star_periodic:
         raise ValueError("failing periods are scanned for star-periodic sequences")
-    return [m for m in range(1, seq.period) if fails_for_period(seq, m).fails]
+    return [fails_for_period(seq, m) for m in range(1, seq.period)]
+
+
+def _arm_count(seq: KneadingSequence, diag: FailureDiagnostic) -> int:
+    """Arm count q at the periodic point of period m that ``diag`` describes.
+
+    Writing first_mismatch(m) = (q-2)m + r with r in {1..m} gives q at an
+    evil branch point; at an internal-address entry whose residue orbit
+    comes back through m (cond3 without cond1) the count is one less.  The
+    division is taken on the reduced residue, since floor(first_mismatch(m)/m)
+    overcounts by one when m divides first_mismatch(m).  An evil point has
+    at least 3 arms, any other periodic point at least 2.
+    """
+    m = diag.period
+    rho_m = first_mismatch(seq, m)
+    q = (rho_m - _reduced_residue(rho_m, m)) // m + 2 - (diag.cond3 and not diag.cond1)
+    if q < (3 if diag.fails else 2):
+        point = "evil branch point" if diag.fails else "periodic point"
+        raise StructuralError(f"{point} of {seq} at period {m} has {q} arms")
+    return q
+
+
+def failing_periods(seq: KneadingSequence) -> list[int]:
+    """All failing periods; the scan range 1..period-1 is exhaustive."""
+    return [diag.period for diag in _diagnostics(seq) if diag.fails]
+
+
+def diagnostics_record(seq: KneadingSequence) -> list[dict]:
+    """Per-period failure diagnostics over the exhaustive scan range."""
+    return [diag.to_dict() for diag in _diagnostics(seq)]
 
 
 def is_admissible(seq: KneadingSequence) -> bool:
@@ -110,22 +140,11 @@ def is_admissible(seq: KneadingSequence) -> bool:
 
 
 def evil_arm_count(seq: KneadingSequence, m: int) -> int:
-    """Arm count at the evil branch point of a failing period.
-
-    Writing first_mismatch(m) = (q-2)m + r with r in {1..m} gives q; the
-    closed form floor(first_mismatch(m)/m) + 2 overcounts by one when m
-    divides first_mismatch(m), so the division is taken on the reduced
-    residue.
-    """
+    """Arm count at the evil branch point of a failing period."""
     diag = fails_for_period(seq, m)
     if not diag.fails:
         raise ValueError(f"{m} is not a failing period of {seq}")
-    rho_m = first_mismatch(seq, m)
-    r = _reduced_residue(rho_m, m)
-    q = (rho_m - r) // m + 2
-    if q < 3:
-        raise StructuralError(f"evil branch point of {seq} at period {m} has {q} arms")
-    return q
+    return _arm_count(seq, diag)
 
 
 def tame_arm_count(seq: KneadingSequence, m: int) -> int:
@@ -136,48 +155,30 @@ def tame_arm_count(seq: KneadingSequence, m: int) -> int:
     """
     if not orbit_contains(seq, 1, m):
         raise ValueError(f"{m} is not an internal-address entry of {seq}")
-    rho_m = first_mismatch(seq, m)
-    if rho_m is INFINITY:
+    if first_mismatch(seq, m) is INFINITY:
         raise ValueError(f"first mismatch of {m} is infinite; no periodic point to count")
-    r = _reduced_residue(rho_m, m)
-    if orbit_contains(seq, r, m):
-        q = (rho_m - r) // m + 1
-    else:
-        q = (rho_m - r) // m + 2
-    if q < 2:
-        raise StructuralError(f"periodic point of {seq} at period {m} has {q} arms")
-    return q
+    return _arm_count(seq, fails_for_period(seq, m))
 
 
 def branch_spectrum(seq: KneadingSequence) -> list[BranchSpectrumEntry]:
     """All predicted periodic branch orbits, in increasing period.
 
     One EVIL entry per failing period, one TAME entry per internal-address
-    entry below the period whose q(m) reaches 3.  The characteristic
-    itineraries are materialized here so the tree builder never recomputes
-    prefixes.
+    entry below the period (cond1 false) whose q(m) reaches 3; both read
+    the same diagnostic.  The characteristic itineraries are materialized
+    here so the tree builder never recomputes prefixes.
     """
-    n = seq.period
     entries: list[BranchSpectrumEntry] = []
-    for m in failing_periods(seq):
-        entries.append(BranchSpectrumEntry(
-            m, evil_arm_count(seq, m), OrbitKind.EVIL,
-            Itinerary.periodic(seq.word[:m])))
-    address_entry = 1
-    while address_entry < n:
-        q = tame_arm_count(seq, address_entry)
-        if q >= 3:
-            entries.append(BranchSpectrumEntry(
-                address_entry, q, OrbitKind.TAME,
-                Itinerary.periodic(seq.word[:address_entry])))
-        nxt = first_mismatch(seq, address_entry)
-        if nxt is INFINITY:
-            break
-        address_entry = nxt
+    for diag in _diagnostics(seq):
+        if diag.cond1 and not diag.fails:  # neither evil nor an address entry
+            continue
+        m, q = diag.period, _arm_count(seq, diag)
+        if diag.fails or q >= 3:
+            kind = OrbitKind.EVIL if diag.fails else OrbitKind.TAME
+            entries.append(BranchSpectrumEntry(m, q, kind, Itinerary.periodic(seq.word[:m])))
     for entry in entries:
         # a shorter exact period would mean two orbit points share an itinerary
         if len(entry.characteristic_itinerary.period) != entry.period:
             raise StructuralError(f"{seq}: spectrum entry {entry.summary()} has a "
                                   "shorter exact period")
-    entries.sort(key=lambda e: e.period)
     return entries

@@ -14,7 +14,7 @@ import os
 from itertools import product as cartesian
 from typing import Iterator, NamedTuple
 
-from .admissibility import OrbitKind, fails_for_period
+from .admissibility import OrbitKind, diagnostics_record  # diagnostics_record is re-exported
 from .embedding import count_embeddings
 from .sequences import KneadingSequence, StructuralError, internal_address
 from .tree import build_tree, classify_orbits, verify_axioms
@@ -40,11 +40,8 @@ class AtlasRow(NamedTuple):
     endpoints: tuple[str, ...]
     max_branch_period: int
 
-    def to_dict(self) -> dict:
-        return self._asdict()
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return json.dumps(self._asdict(), sort_keys=True, separators=(",", ":"))
 
     def to_text(self) -> str:
         lines = [
@@ -110,11 +107,6 @@ def analyze_sequence(seq: KneadingSequence | str) -> AtlasRow:
         endpoints=tuple(sorted(tree.endpoints())),
         max_branch_period=max((o.period for o in orbits), default=0),
     )
-
-
-def diagnostics_record(seq: KneadingSequence) -> list[dict]:
-    """Per-period failure diagnostics over the exhaustive scan range."""
-    return [fails_for_period(seq, m).to_dict() for m in range(1, seq.period)]
 
 
 def star_periodic_sequences(max_period: int, *, exact: bool = False) -> list[KneadingSequence]:

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Commands: analyze, tree, embed, enumerate, convert.  Exit codes: 0 success,
-1 input error (parse failures, an out-of-range period, or an embedding
-request for a non-admissible sequence), 2 internal cross-check violation or
-any other internal error.  Input periods are bounded by MAX_PERIOD.
+1 input error (parse failures, an out-of-range period, an embedding
+request for a non-admissible sequence, or output that cannot be written),
+2 internal cross-check violation or any other internal error.  Input
+periods are bounded by MAX_PERIOD.
 """
 
 from __future__ import annotations
@@ -14,12 +15,12 @@ import os
 import re
 import sys
 
+from .admissibility import diagnostics_record
 from .atlas import (
     ENUMERATION_CAP,
     CrossCheckError,
     analyze_sequence,
     atlas_header,
-    diagnostics_record,
     enumerate_rows,
 )
 from .embedding import EvilOrbitError, _embeddings
@@ -92,7 +93,7 @@ def cmd_analyze(args) -> int:
     seq = _parse_input(args.input)
     row = analyze_sequence(seq)
     if args.json:
-        record = row.to_dict()
+        record = row._asdict()
         record["diagnostics"] = diagnostics_record(seq)
         _write([json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"], args.out)
     else:
@@ -198,8 +199,11 @@ def main(argv: list[str] | None = None) -> int:
     except (CrossCheckError, StructuralError) as exc:
         sys.stderr.write(f"cross-check violation: {exc}\n")
         return EXIT_CROSSCHECK
-    except ValueError as exc:  # raised past the input boundary: a bug, not bad input
-        sys.stderr.write(f"internal error: {exc}\n")
+    except OSError as exc:  # an unwritable --out path or a closed pipe
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_INPUT
+    except Exception as exc:  # raised past the input boundary: a bug, not bad input
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
         return EXIT_CROSSCHECK
 
 

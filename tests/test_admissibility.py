@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import product
+
 import pytest
 
+import hubbardtree.admissibility as admissibility
 from hubbardtree import (
     INFINITY,
     KneadingSequence,
     OrbitKind,
+    StructuralError,
     branch_spectrum,
     evil_arm_count,
     failing_periods,
@@ -19,6 +24,45 @@ from hubbardtree import (
     tame_arm_count,
 )
 from hubbardtree.atlas import star_periodic_sequences
+
+
+def reference_evil_arm_count(seq, m):
+    """The evil arm count as its own closed form, kept as the oracle for
+    the shared arm-count rule: first_mismatch(m) = (q-2)m + r, r in {1..m}."""
+    diag = fails_for_period(seq, m)
+    if not diag.fails:
+        raise ValueError(f"{m} is not a failing period of {seq}")
+    rho_m = first_mismatch(seq, m)
+    r = (rho_m - 1) % m + 1
+    q = (rho_m - r) // m + 2
+    if q < 3:
+        raise StructuralError(f"evil branch point of {seq} at period {m} has {q} arms")
+    return q
+
+
+def reference_tame_arm_count(seq, m):
+    """The tame arm count as its own closed form: one arm fewer than the
+    evil form when the residue orbit comes back through m."""
+    if not orbit_contains(seq, 1, m):
+        raise ValueError(f"{m} is not an internal-address entry of {seq}")
+    rho_m = first_mismatch(seq, m)
+    if rho_m is INFINITY:
+        raise ValueError(f"first mismatch of {m} is infinite; no periodic point to count")
+    r = (rho_m - 1) % m + 1
+    if orbit_contains(seq, r, m):
+        q = (rho_m - r) // m + 1
+    else:
+        q = (rho_m - r) // m + 2
+    if q < 2:
+        raise StructuralError(f"periodic point of {seq} at period {m} has {q} arms")
+    return q
+
+
+def _outcome(count, seq, m):
+    try:
+        return count(seq, m)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
 
 
 class TestFailureDiagnostics:
@@ -122,6 +166,32 @@ class TestTameArmCount:
             tame_arm_count(KneadingSequence.parse("10110*"), 3)
 
 
+class TestArmCountsAgainstReference:
+    def test_shared_rule_matches_both_closed_forms(self):
+        words = [seq.word for seq in star_periodic_sequences(12)]
+        words += [b"1" + bytes(tail) for n in range(1, 11) for tail in product(b"01", repeat=n - 1)]
+        assert len(words) == 3070
+        kinds = Counter()
+        for word in words:
+            seq = KneadingSequence(word)
+            for m in range(1, seq.period + 2):
+                for count, reference in [(evil_arm_count, reference_evil_arm_count),
+                                         (tame_arm_count, reference_tame_arm_count)]:
+                    expected = _outcome(reference, seq, m)
+                    assert _outcome(count, seq, m) == expected, (str(seq), m, count.__name__)
+                    if isinstance(expected, int):
+                        kinds[count.__name__, expected] += 1
+                    else:
+                        kinds[count.__name__, expected[0], "infinite" in expected[1]] += 1
+        assert sum(kinds.values()) == 69_630
+        # arm counts 2 to 4 and every ValueError occur
+        assert {("evil_arm_count", 3), ("evil_arm_count", 4),
+                ("evil_arm_count", ValueError, False),
+                ("tame_arm_count", 2), ("tame_arm_count", 3), ("tame_arm_count", 4),
+                ("tame_arm_count", ValueError, False),
+                ("tame_arm_count", ValueError, True)} <= set(kinds), kinds
+
+
 class TestBranchSpectrum:
     def test_evil_spectrum(self):
         entries = branch_spectrum(KneadingSequence.parse("10110*"))
@@ -135,6 +205,21 @@ class TestBranchSpectrum:
 
     def test_empty_spectrum(self):
         assert branch_spectrum(KneadingSequence.parse("10*")) == []
+
+    @pytest.mark.parametrize("text", ["10110*", "1011010110*"])
+    def test_one_diagnostic_per_period(self, monkeypatch, text):
+        # one evil orbit (period 3) and one tame orbit (period 5): each
+        # candidate period is diagnosed once, and the entries read that pass
+        calls = Counter()
+        for name in ("fails_for_period", "failing_periods"):
+            def counted(*args, _name=name, _original=getattr(admissibility, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(admissibility, name, counted)
+        seq = KneadingSequence.parse(text)
+        assert len(branch_spectrum(seq)) == 1
+        assert calls == {"fails_for_period": seq.period - 1}
 
     def test_spectrum_is_deterministic(self):
         for seq in star_periodic_sequences(8):

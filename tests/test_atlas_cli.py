@@ -67,15 +67,25 @@ class TestAnalyzeCommand:
         error = capsys.readouterr().err
         assert "sequence like 10110*" in error and "address like 1-2-4-5-6" in error
 
-    def test_internal_value_error_is_not_an_input_error(self, monkeypatch, capsys):
+    @pytest.mark.parametrize("error", [ValueError, RuntimeError, KeyError],
+                             ids=lambda error: error.__name__)
+    def test_internal_value_error_is_not_an_input_error(self, monkeypatch, capsys, error):
         import hubbardtree.cli as cli
 
         def broken(seq):
-            raise ValueError("stand-in for a bug past the input boundary")
+            raise error("stand-in for a bug past the input boundary")
 
         monkeypatch.setattr(cli, "analyze_sequence", broken)
         assert main(["analyze", "10110*"]) == 2
-        assert "stand-in" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: ") and "stand-in" in err
+
+    def test_unwritable_out_is_an_input_error(self, tmp_path):
+        result = run_cli(["analyze", "10110*", "--out", str(tmp_path / "missing" / "row")])
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: ")
+        assert len(result.stderr.splitlines()) == 1, result.stderr
+        assert list(tmp_path.iterdir()) == []
 
     def test_json_row_carries_diagnostics(self):
         result = run_cli(["analyze", "10110*", "--json"])
