@@ -16,14 +16,14 @@ from typing import Iterator, NamedTuple
 
 from .admissibility import OrbitKind, diagnostics_record  # diagnostics_record is re-exported
 from .embedding import count_embeddings
-from .sequences import KneadingSequence, StructuralError, internal_address
+from .sequences import (  # ENUMERATION_CAP and CrossCheckError are re-exported
+    ENUMERATION_CAP,
+    CrossCheckError,
+    KneadingSequence,
+    StructuralError,
+    internal_address,
+)
 from .tree import build_tree, classify_orbits, verify_axioms
-
-ENUMERATION_CAP = 16
-
-
-class CrossCheckError(RuntimeError):
-    """An atlas row violated one of the cross-validation laws."""
 
 
 class AtlasRow(NamedTuple):

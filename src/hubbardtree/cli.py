@@ -10,21 +10,15 @@ periods are bounded by MAX_PERIOD.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
 
-from .admissibility import diagnostics_record
-from .atlas import (
+# only the sequence layer loads with the parser: each command imports the
+# layers it runs, so convert, --help and rejected input load no tree
+from .sequences import (
     ENUMERATION_CAP,
     CrossCheckError,
-    analyze_sequence,
-    atlas_header,
-    enumerate_rows,
-)
-from .embedding import EvilOrbitError, _embeddings
-from .sequences import (
     InternalAddress,
     KneadingSequence,
     ParseError,
@@ -33,7 +27,6 @@ from .sequences import (
     address_to_sequence,
     internal_address,
 )
-from .tree import build_tree
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -84,6 +77,11 @@ def _write(chunks, out: str | None) -> None:
         with open(partial, "w", encoding="ascii") as handle:
             handle.writelines(chunks)
         os.replace(partial, out)
+    except OSError as exc:
+        if exc.filename != partial:
+            raise
+        # name the path asked for, not the temporary one
+        raise OSError(exc.errno, exc.strerror, out) from None
     finally:
         if os.path.exists(partial):  # only when the rename did not happen
             os.unlink(partial)
@@ -91,8 +89,12 @@ def _write(chunks, out: str | None) -> None:
 
 def cmd_analyze(args) -> int:
     seq = _parse_input(args.input)
+    from .admissibility import diagnostics_record
+    from .atlas import analyze_sequence
+
     row = analyze_sequence(seq)
     if args.json:
+        import json
         record = row._asdict()
         record["diagnostics"] = diagnostics_record(seq)
         _write([json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"], args.out)
@@ -102,17 +104,25 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_tree(args) -> int:
-    tree = build_tree(_parse_input(args.input))
+    seq = _parse_input(args.input)
+    from .tree import build_tree
+
+    tree = build_tree(seq)
     if args.dot:
         _write([tree.to_dot()], args.out)
     else:
+        import json
         _write([json.dumps(tree.to_record(), sort_keys=True, separators=(",", ":")) + "\n"],
                args.out)
     return EXIT_OK
 
 
 def cmd_embed(args) -> int:
-    tree = build_tree(_parse_input(args.input))
+    seq = _parse_input(args.input)
+    from .embedding import EvilOrbitError, _embeddings
+    from .tree import build_tree
+
+    tree = build_tree(seq)
     try:
         embeddings = _embeddings(tree, every=args.all)
     except EvilOrbitError as exc:
@@ -125,6 +135,8 @@ def cmd_embed(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    from .atlas import atlas_header, enumerate_rows
+
     def lines():
         yield atlas_header(args.period, args.exact) + "\n"
         for row in enumerate_rows(args.period, exact=args.exact, jobs=args.jobs):

@@ -18,6 +18,10 @@ from collections import namedtuple
 
 INFINITY = math.inf
 
+# the largest period an atlas enumerates; the command line's parser needs it
+# before any command has loaded the atlas
+ENUMERATION_CAP = 16
+
 _FLIP = bytes.maketrans(b"01", b"10")
 _ADDRESS_TEXT = re.compile(r"[0-9]+(-[0-9]+)*", re.ASCII)
 
@@ -34,6 +38,10 @@ def _excerpt(text: str | bytes) -> str:
 
 class StructuralError(RuntimeError):
     """A computed object violates a property the theory guarantees."""
+
+
+class CrossCheckError(RuntimeError):
+    """An atlas row violated one of the cross-validation laws."""
 
 
 class KneadingSequence(namedtuple("KneadingSequence", "word")):
@@ -288,7 +296,11 @@ def critical_orbit_itinerary(seq: KneadingSequence, index: int) -> Itinerary:
 
 def itinerary_consistent_with(itin: Itinerary, seq: KneadingSequence) -> bool:
     """Whether every STAR in the stream is followed by the sequence itself."""
-    value = Itinerary.periodic(seq.word)
+    return _stars_followed_by(itin, Itinerary.periodic(seq.word))
+
+
+def _stars_followed_by(itin: Itinerary, value: Itinerary) -> bool:
+    """Whether every STAR in the stream of ``itin`` is followed by ``value``."""
     stream = itin.preperiod + itin.period
     return all(Itinerary(stream[k + 1:], itin.period) == value
                for k, symbol in enumerate(stream) if symbol == ord("*"))

@@ -24,8 +24,8 @@ from .sequences import (
     Itinerary,
     KneadingSequence,
     StructuralError,
+    _stars_followed_by,
     critical_orbit_itinerary,
-    itinerary_consistent_with,
 )
 from .triods import Branch, Middle, TriodError, UnrealizedPointError, classify_triod
 
@@ -226,8 +226,9 @@ def build_tree(seq: KneadingSequence | str) -> HubbardTree:
         seq = KneadingSequence.parse(seq)
     spectrum = tuple(branch_spectrum(seq))
     base = _marked_points(seq, spectrum)
+    value = Itinerary.periodic(seq.word)  # what must follow each STAR, built once
     for point in base:
-        if not itinerary_consistent_with(point.itinerary, seq):
+        if not _stars_followed_by(point.itinerary, value):
             raise StructuralError(f"marked point {point.id} has inconsistent itinerary")
     marked = {p.itinerary for p in base}
     if len(marked) != len(base):

@@ -70,12 +70,12 @@ class TestAnalyzeCommand:
     @pytest.mark.parametrize("error", [ValueError, RuntimeError, KeyError],
                              ids=lambda error: error.__name__)
     def test_internal_value_error_is_not_an_input_error(self, monkeypatch, capsys, error):
-        import hubbardtree.cli as cli
+        import hubbardtree.atlas as atlas
 
         def broken(seq):
             raise error("stand-in for a bug past the input boundary")
 
-        monkeypatch.setattr(cli, "analyze_sequence", broken)
+        monkeypatch.setattr(atlas, "analyze_sequence", broken)
         assert main(["analyze", "10110*"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("internal error: ") and "stand-in" in err
@@ -85,6 +85,9 @@ class TestAnalyzeCommand:
         assert result.returncode == 1
         assert result.stderr.startswith("error: ")
         assert len(result.stderr.splitlines()) == 1, result.stderr
+        # the message names the path given, not the temporary file written first
+        assert os.path.join("missing", "row") in result.stderr
+        assert ".tmp" not in result.stderr
         assert list(tmp_path.iterdir()) == []
 
     def test_json_row_carries_diagnostics(self):
@@ -198,13 +201,13 @@ class TestEnumerateCommand:
         assert run_cli(["--help"]).returncode == 0
 
     def test_failed_run_leaves_no_output_file(self, tmp_path, monkeypatch):
-        import hubbardtree.cli as cli
+        import hubbardtree.atlas as atlas
 
         def one_row_then_fail(*args, **kwargs):
             yield "{}"
             raise CrossCheckError("synthetic failure")
 
-        monkeypatch.setattr(cli, "enumerate_rows", one_row_then_fail)
+        monkeypatch.setattr(atlas, "enumerate_rows", one_row_then_fail)
         out = tmp_path / "atlas.jsonl"
         assert main(["enumerate", "--period", "4", "--out", str(out)]) == 2
         assert list(tmp_path.iterdir()) == []
@@ -386,10 +389,108 @@ class TestLibrarySide:
         assert [r["period"] for r in records] == [1, 2, 3, 4, 5]
 
     def test_cross_check_violation_exit_code(self, monkeypatch):
-        import hubbardtree.cli as cli
+        import hubbardtree.atlas as atlas
 
         def boom(_):
             raise CrossCheckError("synthetic failure")
 
-        monkeypatch.setattr(cli, "analyze_sequence", boom)
+        monkeypatch.setattr(atlas, "analyze_sequence", boom)
         assert main(["analyze", "10110*"]) == 2
+
+
+# every name `hubbardtree` re-exported when its __init__ imported all six
+# layers, by the module that defines it
+REEXPORTS = {
+    "admissibility": ["BranchSpectrumEntry", "FailureDiagnostic", "OrbitKind",
+                      "branch_spectrum", "diagnostics_record", "evil_arm_count",
+                      "failing_periods", "fails_for_period", "is_admissible",
+                      "tame_arm_count"],
+    "atlas": ["AtlasRow", "analyze_sequence", "embedding_census", "enumerate_rows",
+              "star_periodic_sequences"],
+    "embedding": ["EmbeddedTree", "EvilOrbitError", "count_embeddings",
+                  "enumerate_embeddings", "euler_phi", "generate_embedding",
+                  "verify_embedding"],
+    "sequences": ["CrossCheckError", "INFINITY", "InternalAddress", "Itinerary",
+                  "KneadingSequence", "ParseError", "StructuralError", "address_to_sequence",
+                  "critical_orbit_itinerary", "exact_period", "first_mismatch",
+                  "internal_address", "mismatch_orbit", "orbit_contains", "upper_lower"],
+    "tree": ["HubbardTree", "MarkedPoint", "SpectrumMismatchError", "arm_permutation",
+             "build_tree", "characteristic_point", "classify_orbits",
+             "closest_precritical_itinerary", "lies_between", "marked_points",
+             "verify_axioms"],
+    "triods": ["Branch", "Middle", "TriodError", "TriodResult", "UnrealizedPointError",
+               "classify_triod"],
+}
+LAYERS = {f"hubbardtree.{layer}" for layer in REEXPORTS}
+BASE = {"hubbardtree", "hubbardtree.cli", "hubbardtree.sequences"}
+
+
+def loaded_after(argv: list[str]) -> set[str]:
+    """The package modules a fresh interpreter holds after running ``main(argv)``
+    (after the import alone when ``argv`` is empty)."""
+    code = ("import sys, hubbardtree.cli as cli\n"
+            "if sys.argv[1:]:\n"
+            "    cli.main(sys.argv[1:])\n"
+            "print(' '.join(m for m in sys.modules if m.partition('.')[0] == 'hubbardtree'))\n")
+    result = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return set(result.stdout.splitlines()[-1].split())
+
+
+class TestColdStart:
+    # only package modules are compared: what `site` loads differs between environments
+    @pytest.mark.parametrize("argv", [[], ["convert", "10110*"], ["convert", "1-2-4-5-6"],
+                                      ["analyze", "11"], ["--help"]],
+                             ids=["import", "convert", "convert-address", "rejected", "help"])
+    def test_sequence_commands_load_no_tree(self, argv):
+        assert loaded_after(argv) == BASE
+
+    @pytest.mark.parametrize("argv,skipped", [
+        (["tree", "10110*"], {"atlas", "embedding"}),
+        (["tree", "10110*", "--dot"], {"atlas", "embedding"}),
+        (["embed", "1011010110*"], {"atlas"}),
+    ], ids=["tree", "dot", "embed"])
+    def test_tree_commands_skip_the_atlas(self, argv, skipped):
+        assert loaded_after(argv) == BASE | LAYERS - {f"hubbardtree.{m}" for m in skipped}
+
+    def test_analyze_loads_every_layer(self):
+        assert loaded_after(["analyze", "10110*"]) == BASE | LAYERS
+
+    def test_reexports_resolve_to_their_definitions(self):
+        import importlib
+
+        import hubbardtree
+
+        for layer, names in REEXPORTS.items():
+            module = importlib.import_module(f"hubbardtree.{layer}")
+            assert getattr(hubbardtree, layer) is module
+            for name in names:
+                assert getattr(hubbardtree, name) is getattr(module, name), name
+
+    def test_moved_names_stay_in_the_atlas(self):
+        import hubbardtree
+        import hubbardtree.atlas as atlas
+        import hubbardtree.sequences as sequences
+
+        assert atlas.CrossCheckError is sequences.CrossCheckError is hubbardtree.CrossCheckError
+        assert atlas.ENUMERATION_CAP is sequences.ENUMERATION_CAP
+
+    def test_star_import_binds_all(self):
+        import hubbardtree
+
+        namespace: dict = {}
+        exec("from hubbardtree import *", namespace)
+        assert set(namespace) - {"__builtins__"} == set(hubbardtree.__all__)
+
+    def test_dir_lists_the_reexports(self):
+        import hubbardtree
+
+        listed = set(dir(hubbardtree))
+        assert {name for names in REEXPORTS.values() for name in names} <= listed
+        assert set(REEXPORTS) <= listed and "__version__" in listed
+
+    def test_unknown_attribute_is_named(self):
+        import hubbardtree
+
+        with pytest.raises(AttributeError, match="no_such_name"):
+            hubbardtree.no_such_name

@@ -131,6 +131,20 @@ class TestBuildTree:
         with pytest.raises(StructuralError, match="z1.0"):
             build_tree(FIG1)
 
+    def test_inconsistent_marked_point_is_rejected(self, monkeypatch):
+        # a predicted branch point (listed last) whose STAR is not followed by
+        # the sequence itself: every marked point is checked, not only the orbit
+        real = tree_module._marked_points
+
+        def with_stray_point(seq, spectrum):
+            points = real(seq, spectrum)
+            points[-1] = points[-1]._replace(itinerary=Itinerary(b"*", b"0"))
+            return points
+
+        monkeypatch.setattr(tree_module, "_marked_points", with_stray_point)
+        with pytest.raises(StructuralError, match=r"marked point z3\.2 has inconsistent itinerary"):
+            build_tree(FIG1)
+
 
 class TestTriodBudget:
     """Median insertion asks O(V^2) triod queries, not one per vertex triple."""
