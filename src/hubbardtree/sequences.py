@@ -292,15 +292,3 @@ def critical_orbit_itinerary(seq: KneadingSequence, index: int) -> Itinerary:
         raise ValueError("critical orbit itineraries need a star-periodic sequence")
     k = (index - 1) % seq.period
     return Itinerary.periodic(seq.word[k:] + seq.word[:k])
-
-
-def itinerary_consistent_with(itin: Itinerary, seq: KneadingSequence) -> bool:
-    """Whether every STAR in the stream is followed by the sequence itself."""
-    return _stars_followed_by(itin, Itinerary.periodic(seq.word))
-
-
-def _stars_followed_by(itin: Itinerary, value: Itinerary) -> bool:
-    """Whether every STAR in the stream of ``itin`` is followed by ``value``."""
-    stream = itin.preperiod + itin.period
-    return all(Itinerary(stream[k + 1:], itin.period) == value
-               for k, symbol in enumerate(stream) if symbol == ord("*"))

@@ -24,10 +24,17 @@ from .sequences import (
     Itinerary,
     KneadingSequence,
     StructuralError,
-    _stars_followed_by,
     critical_orbit_itinerary,
 )
-from .triods import Branch, Middle, TriodError, UnrealizedPointError, classify_triod
+from .triods import (
+    Branch,
+    Middle,
+    TriodError,
+    UnrealizedPointError,
+    _context,
+    _stars_followed,
+    classify_triod,
+)
 
 
 class SpectrumMismatchError(StructuralError):
@@ -226,9 +233,10 @@ def build_tree(seq: KneadingSequence | str) -> HubbardTree:
         seq = KneadingSequence.parse(seq)
     spectrum = tuple(branch_spectrum(seq))
     base = _marked_points(seq, spectrum)
-    value = Itinerary.periodic(seq.word)  # what must follow each STAR, built once
+    # laid out on the kernel's tape, where a STAR is checked by one window compare
+    layout = _context(seq).lay([p.itinerary for p in base])
     for point in base:
-        if not _stars_followed_by(point.itinerary, value):
+        if not _stars_followed(layout, point.itinerary):
             raise StructuralError(f"marked point {point.id} has inconsistent itinerary")
     marked = {p.itinerary for p in base}
     if len(marked) != len(base):

@@ -29,14 +29,35 @@ point whose itinerary is the recorded symbols (preamble + cycle).  Two or
 more untouched indices can only happen when two input streams were equal,
 which violates the precondition.
 
-The streams are read from tapes laid out once per sequence (see _Tapes).
-A run of all-equal heads only records and shifts, so it is taken in one
-step: the run ends at the first difference of the three windows (the top
-bit of their XOR) or at the first STAR.  States are then keyed only at
-events (exclude, chop, middle); the answer is unchanged, because a repeated
-state still closes whole periods of the state sequence, so the same streams
-stay untouched during it, and Itinerary normalization absorbs the later
-cycle start.
+The streams are read from one kernel context per sequence (see _Context).
+Every itinerary queried is laid out once on the context's tape, so a
+stream is one tape position.  A run of all-equal heads only records and
+shifts, so it is taken in one step: the run ends at the first difference of
+the three windows (the top bit of their XOR) or at the first STAR.  States
+are then keyed only at events (exclude, chop, middle); the answer is
+unchanged, because a repeated state still closes whole periods of the state
+sequence, so the same streams stay untouched during it, and Itinerary
+normalization absorbs the later cycle start.
+
+The context also keeps a memo from each event state (a, b, c) to the
+outcome of the query that passed it, and a later query that reaches a
+memoized state stops there.  A state fixes its whole future, so the replay
+is exact once the outcome is read from where the later query stands (see
+_rebase): a Branch outcome keeps the recorded symbols and the cycle that
+repeats after them, and the later query's own symbols go in front; a Middle
+outcome keeps its index, the path that produced it (STAR or cycle survivor)
+and the step of that index's last discard, so a discard before or after the
+state raises the same UnrealizedPointError as a run without the memo would;
+an error outcome keeps its message.  Where the cycle is detected does not
+matter: one whole period of the state cycle has the same events from any of
+its states, and Itinerary normalization absorbs the cycle start.  The step
+cap is a safety net against a structural bug that genuine queries stay far
+below; a replay returns without counting the steps it skips.
+
+Positions are only meaningful on the layout they were read from, so a query
+reads all three of its positions from one layout.  An itinerary too long for
+the layout's window starts a fresh layout, and the memo, keyed by
+positions, starts afresh with it.
 """
 
 from __future__ import annotations
@@ -46,7 +67,7 @@ import math
 from _thread import allocate_lock  # threading's own import would cost a cold start
 from typing import NamedTuple
 
-from .sequences import Itinerary, KneadingSequence, itinerary_consistent_with
+from .sequences import Itinerary, KneadingSequence
 
 _STAR = ord("*")
 _UNSEPARATED = "two streams never separated; inputs are not itineraries of distinct tree points"
@@ -83,44 +104,47 @@ class Branch(NamedTuple):
 TriodResult = Middle | Branch
 
 
-class _Tapes:
-    """Every itinerary queried for one sequence, laid end to end on one tape.
+class _Context:
+    """The kernel's state for one sequence: a layout and its memo.
 
-    An itinerary's region is its preperiod and enough copies of its period
-    that ``reach`` symbols can be sliced from each of its states (its first
+    A layout is (tape, canon, reach, starts, memo).  Every itinerary queried
+    is laid end to end on the tape, the critical value first (at 0).  An
+    itinerary's region is its preperiod and enough copies of its period that
+    ``reach`` symbols can be sliced from each of its states (its first
     preperiod + period positions); ``canon`` maps every position of a region
-    back to the state it reads, so a stream is one position.  ``reach`` is
-    three times the longest itinerary laid out: streams that agree over that
-    many symbols agree forever (Fine and Wilf).  A longer itinerary starts a
-    fresh layout.
+    back to the state it reads, and ``starts`` maps each itinerary to its
+    region.  ``reach`` is at least three times the longest itinerary laid
+    out: streams that agree over that many symbols agree forever (Fine and
+    Wilf).  ``memo`` maps event states to outcomes (see the module
+    docstring).  A longer itinerary starts a fresh layout, with an empty memo.
     """
 
     def __init__(self, seq: KneadingSequence):
         self.value = Itinerary.periodic(seq.word)
         self.lock = allocate_lock()
-        self.layout = (bytearray(), [], 0, {})  # tape, canon, reach, region starts
+        self.layout = self._fresh(3 * len(self.value.period))
 
-    def locate(self, points: tuple[Itinerary, ...]) -> tuple[tuple, list[int]]:
-        """The layout and the region starts of the points and the critical value."""
-        itineraries = (*points, self.value)
-        layout = self.layout
-        starts = [layout[3].get(p) for p in itineraries]
-        if None in starts:
-            with self.lock:
-                longest = max(len(p.preperiod) + len(p.period) for p in itineraries)
-                if 3 * longest > self.layout[2]:
-                    self.layout = (bytearray(), [], 3 * longest, {})
-                layout = self.layout
-                for p in itineraries:
-                    if p not in layout[3]:
-                        _lay(layout, p)
-                starts = [layout[3][p] for p in itineraries]
-        return layout, starts
+    def _fresh(self, reach: int) -> tuple:
+        layout = (bytearray(), [], reach, {}, {})
+        _lay(layout, self.value)
+        return layout
+
+    def lay(self, points: tuple[Itinerary, ...] | list[Itinerary]) -> tuple:
+        """The layout holding every one of the points, laying out the missing."""
+        with self.lock:
+            layout = self.layout
+            longest = max(len(p.preperiod) + len(p.period) for p in points)
+            if 3 * longest > layout[2]:
+                layout = self.layout = self._fresh(3 * longest)
+            for p in points:
+                if p not in layout[3]:
+                    _lay(layout, p)
+            return layout
 
 
 def _lay(layout: tuple, itin: Itinerary) -> None:
     """Append the region of ``itin`` to the layout."""
-    tape, canon, reach, start = layout
+    tape, canon, reach, starts, _ = layout
     (pre, per), at = itin, len(tape)
     size = len(pre) + len(per)
     region = pre + per * ((size + reach) // len(per) + 1)
@@ -128,10 +152,25 @@ def _lay(layout: tuple, itin: Itinerary) -> None:
     tape += region
     canon += range(at, at + size)
     canon += (cycle * (len(region) // len(per)))[:len(region) - size]
-    start[itin] = at
+    starts[itin] = at
 
 
-_tapes = functools.lru_cache(maxsize=1)(_Tapes)  # the layout of the last sequence asked for
+_context = functools.lru_cache(maxsize=1)(_Context)  # the context of the last sequence asked for
+
+
+def _stars_followed(layout: tuple, itin: Itinerary) -> bool:
+    """Whether every STAR in the stream of the laid-out ``itin`` is followed
+    by the critical value: one compare per STAR of the ``reach`` symbols
+    after it with the value's, which decides equality of the streams."""
+    tape, _, reach, starts, _ = layout
+    at = starts[itin]
+    end = at + len(itin.preperiod) + len(itin.period)
+    star = tape.find(_STAR, at, end)
+    while star >= 0:
+        if tape[star + 1:star + 1 + reach] != tape[:reach]:
+            return False
+        star = tape.find(_STAR, star + 1, end)
+    return True
 
 
 def classify_triod(
@@ -149,27 +188,29 @@ def classify_triod(
     ``validate=False`` skips the STAR-consistency scan for callers that have
     already vetted their itineraries.
     """
-    points = (t1, t2, t3)
-    if len(set(points)) != 3:
+    context = _context(seq)
+    try:
+        tape, canon, reach, starts, memo = layout = context.layout
+        a, b, c = starts[t1], starts[t2], starts[t3]
+    except KeyError:
+        tape, canon, reach, starts, memo = layout = context.lay((t1, t2, t3))
+        a, b, c = starts[t1], starts[t2], starts[t3]
+    if a == b or a == c or b == c:
         raise TriodError("triod points must be pairwise distinct")
     if validate:
-        for p in points:
-            if not itinerary_consistent_with(p, seq):
+        for p in (t1, t2, t3):
+            if not _stars_followed(layout, p):
                 raise TriodError(f"itinerary {p} does not follow {seq} after its STAR")
 
-    (tape, canon, reach, _), (*pos, value) = _tapes(seq).locate(points)
-    # generous safety net; genuine queries cycle long before this
-    lcm = math.lcm(len(seq.word), len(t1.period), len(t2.period), len(t3.period))
-    cap = len(t1.preperiod + t2.preperiod + t3.preperiod) + 4 * len(seq.word) * lcm + 16
-
+    n = len(seq.word)
+    cap = 4 * n + 16  # a lower bound of _cap, which is only computed past it
     seen: dict[tuple, int] = {}
     recorded = bytearray()
     last = [-1, -1, -1]  # step at which each stream was last chopped or excluded
 
-    a, b, c = pos
     step = 0
     while True:
-        if step > cap:
+        if step > cap and step > (cap := _cap(n, t1, t2, t3)):
             raise TriodError("triod iteration exceeded its cycle bound (structural bug)")
         heads = x, y, z = tape[a], tape[b], tape[c]
         if x == y == z != _STAR:
@@ -183,53 +224,89 @@ def classify_triod(
             if star >= 0:
                 run = star
             elif run == reach:
-                raise TriodError(_UNSEPARATED)
+                outcome = TriodError, _UNSEPARATED
+                break
             recorded += window[:run]
             a, b, c = canon[a + run], canon[b + run], canon[c + run]
             step += run
             continue
 
-        start = seen.setdefault((a, b, c), step)
+        state = a, b, c
+        hit = memo.get(state)
+        if hit is not None:
+            outcome = _rebase(*hit, step, recorded, last)
+            break
+        start = seen.setdefault(state, step)
         if start != step:
             untouched = [i for i in range(3) if last[i] < start]  # during the cycle
             if len(untouched) == 1:
                 index = untouched[0]
-                if last[index] >= 0:
-                    raise UnrealizedPointError(
-                        "cycle survivor was discarded earlier; an input stream "
-                        "is not the itinerary of a tree point")
-                return Middle(index + 1)
-            if not untouched:
-                symbols = bytes(recorded)
-                return Branch(Itinerary(symbols[:start], symbols[start:]))
-            raise TriodError(_UNSEPARATED)
+                outcome = (Middle, index, last[index], "cycle survivor was discarded "
+                           "earlier; an input stream is not the itinerary of a tree point")
+            elif not untouched:
+                outcome = Branch, bytes(recorded), bytes(recorded[start:])
+            else:
+                outcome = TriodError, _UNSEPARATED
+            break
 
         if _STAR in heads:
             if heads.count(_STAR) > 1:
-                raise TriodError("two streams hit the critical point simultaneously")
+                outcome = TriodError, "two streams hit the critical point simultaneously"
+                break
             i = heads.index(_STAR)
             others = heads[:i] + heads[i + 1:]
             if others[0] != others[1]:
-                if last[i] >= 0:
-                    raise UnrealizedPointError(
-                        "middle candidate was discarded earlier; an input stream "
-                        "is not the itinerary of a tree point")
-                return Middle(i + 1)
+                outcome = (Middle, i, last[i], "middle candidate was discarded earlier; "
+                           "an input stream is not the itinerary of a tree point")
+                break
             recorded.append(others[0])
             last[i] = step
             a, b, c = canon[a + 1], canon[b + 1], canon[c + 1]
         # exactly one head disagrees (two symbols available, no STAR): chop it,
-        # restarting its stream at the critical value
+        # restarting its stream at the critical value (position 0)
         elif x == y:
             recorded.append(x)
             last[2] = step
-            a, b, c = canon[a + 1], canon[b + 1], value
+            a, b, c = canon[a + 1], canon[b + 1], 0
         elif x == z:
             recorded.append(x)
             last[1] = step
-            a, b, c = canon[a + 1], value, canon[c + 1]
+            a, b, c = canon[a + 1], 0, canon[c + 1]
         else:
             recorded.append(y)
             last[0] = step
-            a, b, c = value, canon[b + 1], canon[c + 1]
+            a, b, c = 0, canon[b + 1], canon[c + 1]
         step += 1
+
+    for state, at in seen.items():
+        memo[state] = outcome, at
+    kind, *rest = outcome
+    if kind is Branch:
+        return Branch(Itinerary(*rest))  # the recorded symbols, then the cycle forever
+    if kind is Middle:
+        index, discarded, message = rest
+        if discarded >= 0:
+            raise UnrealizedPointError(message)
+        return Middle(index + 1)
+    raise TriodError(rest[0])
+
+
+def _cap(n: int, *points: Itinerary) -> int:
+    """A generous safety net on a query's steps; genuine queries cycle long
+    before this."""
+    return (sum(len(p.preperiod) for p in points)
+            + 4 * n * math.lcm(n, *(len(p.period) for p in points)) + 16)
+
+
+def _rebase(outcome: tuple, at: int, step: int, recorded: bytearray, last: list) -> tuple:
+    """A memoized outcome, recorded by a query that met its state at step
+    ``at``, as seen by a query that meets the state at ``step`` after
+    recording ``recorded`` and discarding at ``last``."""
+    kind = outcome[0]
+    if kind is Branch:
+        _, symbols, cycle = outcome
+        return Branch, bytes(recorded) + symbols[at:], cycle
+    if kind is Middle:
+        _, index, discarded, message = outcome
+        return Middle, index, step + discarded - at if discarded >= at else last[index], message
+    return outcome

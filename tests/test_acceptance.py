@@ -131,11 +131,11 @@ def angle_words(n: int) -> Counter:
 
 def test_criterion_4_predicted_equals_observed():
     with criterion(4, "admissibility == no evil orbit, spectrum == observed, "
-                      "angles == 2 x embeddings (period <= 12)"):
+                      "angles == 2 x embeddings (period <= 13)"):
         started = time.perf_counter()
         checked = 0
-        angles = sum((angle_words(n) for n in range(2, 13)), Counter())
-        for seq in star_periodic_sequences(12):
+        angles = sum((angle_words(n) for n in range(2, 14)), Counter())
+        for seq in star_periodic_sequences(13):
             tree = build_tree(seq)
             observed = classify_orbits(tree)  # raises on spectrum mismatch
             predicted = branch_spectrum(seq)
@@ -151,7 +151,7 @@ def test_criterion_4_predicted_equals_observed():
             assert (found > 0) == is_admissible(seq), str(seq)
             checked += 1
         elapsed = time.perf_counter() - started
-        assert checked == 2047
+        assert checked == 4095
         assert not angles, f"angle words matching no sequence: {sorted(angles)[:5]}"
         assert elapsed < 300.0, f"sweep took {elapsed:.1f}s"
 

@@ -24,6 +24,8 @@ ATLAS_ROWS = {
     7: "17f0ef1c6a36c148ff25dbf31ca0e031813f70fbf526fe9b7687f74fc9e6b406",
     8: "52f580aa109d024fbecd5cf7506881d38f5b8c25c143ae48f8a3a1ee468e5c2b",
     9: "766710e2af24aee5f3e124608e66018833894da237e3387bcd5c5908eddac060",
+    10: "9e80eb791ffbe804b6267e27d1dd0753841d17ce1a30eb054bfc6cd9c5777b1c",
+    11: "d5adeebd8f7af0d777d292d720f595ac9ad4f461db646f0fe593fd25812c79a1",
 }
 
 # (argv, exit code, sha256 of stdout); 10110* is evil, 1-2-4-5-11 is the

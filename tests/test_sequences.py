@@ -25,7 +25,7 @@ from hubbardtree import (
     upper_lower,
 )
 from hubbardtree.atlas import star_periodic_sequences
-from hubbardtree.sequences import itinerary_consistent_with
+from hubbardtree.triods import _context, _stars_followed
 
 
 def oracle_first_mismatch(text: str, offset: int):
@@ -312,8 +312,9 @@ class TestItinerary:
             for pre in words(3, 0):
                 for per in periods:
                     itin = Itinerary(pre, per)
-                    assert itinerary_consistent_with(itin, seq) == by_shifts(itin, seq), (
-                        text, itin)
+                    # the check build_tree and classify_triod make on the kernel's tape
+                    consistent = _stars_followed(_context(seq).lay([itin]), itin)
+                    assert consistent == by_shifts(itin, seq), (text, itin)
                     cases += 1
         assert cases == 12640
 

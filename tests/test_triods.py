@@ -1,15 +1,18 @@
-"""Triod calculus: hand-iterated examples, symmetry, and error paths."""
+"""Triod calculus: hand-iterated examples, symmetry, error paths, and the
+kernel context (its memo and its relayout) against a reference kernel."""
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from collections import Counter
-from itertools import permutations
+from itertools import groupby, permutations
 
 import pytest
 
 import hubbardtree.tree as tree_module
+import hubbardtree.triods as triods
 from hubbardtree import (
     Branch,
     Itinerary,
@@ -23,7 +26,6 @@ from hubbardtree import (
     critical_orbit_itinerary,
 )
 from hubbardtree.atlas import star_periodic_sequences
-from hubbardtree.sequences import itinerary_consistent_with
 from hubbardtree.triods import TriodResult
 
 _STAR = ord("*")
@@ -125,6 +127,14 @@ class TestAuxiliaryPoints:
 
 
 # -- reference oracle --------------------------------------------------------
+
+def itinerary_consistent_with(itin: Itinerary, seq: KneadingSequence) -> bool:
+    """Whether every STAR in the stream is followed by the sequence itself."""
+    value = Itinerary.periodic(seq.word)
+    stream = itin.preperiod + itin.period
+    return all(Itinerary(stream[k + 1:], itin.period) == value
+               for k, symbol in enumerate(stream) if symbol == _STAR)
+
 
 def reference_classify_triod(
     t1: Itinerary,
@@ -296,13 +306,25 @@ def _differential_corpus() -> list[tuple[tuple, bool]]:
     return corpus
 
 
+@functools.cache
+def _reference_answers() -> tuple:
+    """The corpus, each query with the reference kernel's outcome."""
+    return tuple((args, validate, _outcome(reference_classify_triod, args, validate))
+                 for args, validate in _differential_corpus())
+
+
+def _by_sequence(answers) -> list[list]:
+    """The answers grouped by sequence, each group in the order given."""
+    ordered = sorted(answers, key=lambda answer: answer[0][3])  # stable
+    return [list(group) for _, group in groupby(ordered, key=lambda answer: answer[0][3])]
+
+
 class TestAgainstReference:
     def test_kernels_agree_on_seeded_corpus(self):
-        corpus = _differential_corpus()
-        assert len(corpus) >= 40_000
+        answers = _reference_answers()
+        assert len(answers) >= 40_000
         kinds = Counter()
-        for args, validate in corpus:
-            expected = _outcome(reference_classify_triod, args, validate)
+        for args, validate, expected in answers:
             assert _outcome(classify_triod, args, validate) == expected, (args, validate)
             kinds[type(expected).__name__ if isinstance(expected, (Middle, Branch)) else
                   f"{expected[0].__name__}: {expected[1]}"] += 1
@@ -315,3 +337,74 @@ class TestAgainstReference:
                      "UnrealizedPointError: cycle survivor was disca"]:
             assert any(key.startswith(kind) for key in kinds), (kind, kinds)
         assert any(key.startswith("TriodError: itinerary") for key in kinds), kinds
+
+    def test_shuffled_order_agrees(self, monkeypatch):
+        # the memo fills in another order, and a second pass replays from
+        # it.  The context cache holds one sequence, so a full shuffle would
+        # run almost every query on a cold context: the queries are shuffled
+        # within each sequence instead
+        replays = Counter()
+        rebase = triods._rebase
+
+        def counted(outcome, *rest):
+            replays[outcome[0].__name__] += 1
+            return rebase(outcome, *rest)
+
+        monkeypatch.setattr(triods, "_rebase", counted)
+        answers = list(_reference_answers())
+        random.Random(11).shuffle(answers)
+        for group in _by_sequence(answers):
+            for replay in (False, True):
+                for args, validate, expected in group:
+                    assert _outcome(classify_triod, args, validate) == expected, (
+                        replay, args, validate)
+        # every kind of outcome was replayed
+        assert set(replays) == {"Middle", "Branch", "TriodError"}, replays
+
+    def test_cold_contexts_agree(self):
+        # a fresh context per query: no memo, and the first layout of each
+        answers = random.Random(12).sample(_reference_answers(), 10_000)
+        for args, validate, expected in answers:
+            triods._context.cache_clear()
+            assert _outcome(classify_triod, args, validate) == expected, (args, validate)
+        triods._context.cache_clear()
+
+
+class TestRelayout:
+    def test_longer_itinerary_starts_a_fresh_layout(self, monkeypatch):
+        seq = KneadingSequence.parse("1011010110*")
+        queries = []
+        kernel = tree_module.classify_triod
+
+        def recording(*args, validate=True):
+            queries.append(args)
+            return kernel(*args, validate=validate)
+
+        monkeypatch.setattr(tree_module, "classify_triod", recording)
+        triods._context.cache_clear()
+        build_tree(seq)
+        expected = [_outcome(reference_classify_triod, args, False) for args in queries]
+        assert [_outcome(classify_triod, args, False) for args in queries] == expected
+        context = triods._context(seq)
+        old = context.layout
+        assert old[4], "the tree queries warm the memo"
+
+        # a symbolic precritical point has up to 2n - 1 symbols, more than
+        # any vertex; the query pairs it with two laid-out points
+        zeta = max((closest_precritical_itinerary(seq, k) for k in range(1, seq.period + 1)),
+                   key=lambda z: len(z.preperiod) + len(z.period))
+        assert 3 * (len(zeta.preperiod) + len(zeta.period)) > old[2]
+        ends = critical_orbit_itinerary(seq, 0), critical_orbit_itinerary(seq, 1)
+        assert all(end in old[3] for end in ends)
+        for args in [(ends[0], zeta, ends[1], seq), (zeta, ends[0], ends[1], seq)]:
+            for validate in (True, False):
+                assert (_outcome(classify_triod, args, validate)
+                        == _outcome(reference_classify_triod, args, validate))
+        new = context.layout
+        assert new is not old
+        assert new[4] is not old[4] and len(new[4]) < len(old[4])
+
+        # replaying the tree queries lays their points out again, on the new
+        # tape, and fills the new memo
+        assert [_outcome(classify_triod, args, False) for args in queries] == expected
+        assert context.layout is new and set(new[3]) >= {p for q in queries for p in q[:3]}
