@@ -313,12 +313,6 @@ def _reference_answers() -> tuple:
                  for args, validate in _differential_corpus())
 
 
-def _by_sequence(answers) -> list[list]:
-    """The answers grouped by sequence, each group in the order given."""
-    ordered = sorted(answers, key=lambda answer: answer[0][3])  # stable
-    return [list(group) for _, group in groupby(ordered, key=lambda answer: answer[0][3])]
-
-
 class TestAgainstReference:
     def test_kernels_agree_on_seeded_corpus(self):
         answers = _reference_answers()
@@ -353,7 +347,9 @@ class TestAgainstReference:
         monkeypatch.setattr(triods, "_rebase", counted)
         answers = list(_reference_answers())
         random.Random(11).shuffle(answers)
-        for group in _by_sequence(answers):
+        answers.sort(key=lambda answer: answer[0][3])  # stable: shuffled within a sequence
+        for _, group in groupby(answers, key=lambda answer: answer[0][3]):
+            group = list(group)
             for replay in (False, True):
                 for args, validate, expected in group:
                     assert _outcome(classify_triod, args, validate) == expected, (
@@ -367,7 +363,6 @@ class TestAgainstReference:
         for args, validate, expected in answers:
             triods._context.cache_clear()
             assert _outcome(classify_triod, args, validate) == expected, (args, validate)
-        triods._context.cache_clear()
 
 
 class TestRelayout:
