@@ -106,7 +106,7 @@ def _pulled_order(tree: HubbardTree, vid: str, target: tuple[str, ...]) -> tuple
     """The neighbors of ``vid`` ordered by the slot of their arm-map image in
     ``target``, the cyclic order at f(vid); None when those images are not
     distinct arms there."""
-    local = tree.arm_map(vid)
+    local = tree._arms_at(vid)
     slots = {w: i for i, w in enumerate(target)}
     images = set(local.values())
     if len(images) != len(local) or not images <= slots.keys():

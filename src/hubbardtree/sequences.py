@@ -145,8 +145,14 @@ def mismatch_orbit(seq: KneadingSequence, k: int, *, stop_above: int | None = No
 
 
 def orbit_contains(seq: KneadingSequence, start: int, target: int) -> bool:
-    """Exact membership test ``target in mismatch_orbit(start)``."""
-    return target in _mismatch_walk(seq, start, target)
+    """Exact membership test ``target in mismatch_orbit(start)``: the walk
+    stops at the first entry not below ``target``."""
+    if start < 1:
+        raise ValueError("offset must be >= 1")
+    distances, n = _mismatch_distances(seq.word), len(seq.word)
+    while start < target and (distance := distances[start % n]) is not None:
+        start += distance
+    return start == target
 
 
 class InternalAddress(namedtuple("InternalAddress", "entries terminated")):

@@ -4,16 +4,19 @@ The critical orbit is inserted one point at a time into a growing tree, each
 point walking toward its place by triod queries, which add the interior
 branch points they meet.  The periodic branch points predicted from the
 sequence are not inserted: each must turn up among the points the walk
-found.  The finished tree is rooted once at the critical point; every path,
-and the local arm map that the axiom checks, characteristic points and arm
-permutations read, comes from that rooting.  The dynamics cycles through
-branch vertices are split out once, by branch_cycles; the axiom verifier and
-the orbit classification both read that list, and the orbits classified from
-it are compared with the predicted spectrum in classify_orbits.
+found.  The finished tree is rooted once at the critical point, and every
+path and every arm toward a vertex climbs that rooting.  Each vertex's local
+arm map is computed once per tree, on first use, and shared by the axiom
+checks, the arm permutations and the embedding pull-backs.  The dynamics
+cycles through branch vertices are split out once per tree, by
+branch_cycles; the axiom verifier and the orbit classification both read
+that one list, and the orbits classified from it are compared with the
+predicted spectrum in classify_orbits.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from collections import deque
@@ -42,6 +45,8 @@ class SpectrumMismatchError(StructuralError):
 
 
 Role = tuple  # ("critical", k) | ("branch", m, j) | ("prebranch", i)
+
+_MIDDLE_2, _MIDDLE_3 = Middle(2), Middle(3)  # the walk's answers beyond an edge end
 
 
 class MarkedPoint(NamedTuple):
@@ -82,7 +87,8 @@ def _marked_points(seq: KneadingSequence,
 class HubbardTree:
     """The built tree, carrying the branch spectrum predicted from its
     sequence (computed from the sequence when not given).  Nothing mutates a
-    tree after construction; equality is identity."""
+    tree after construction, apart from the private caches of its arm maps
+    and branch cycles; equality is identity."""
 
     def __init__(self, sequence: KneadingSequence, vertices: tuple[MarkedPoint, ...],
                  edges: tuple[tuple[str, str], ...], dynamics: dict[str, str], critical: str,
@@ -111,6 +117,7 @@ class HubbardTree:
                     depth[nxt] = depth[current] + 1
                     stack.append(nxt)
         self._parent, self._depth = parent, depth
+        self._arms: dict[str, dict[str, str]] = {}
 
     def point(self, vid: str) -> MarkedPoint:
         return self._by_id[vid]
@@ -145,8 +152,14 @@ class HubbardTree:
         return len(self._depth) == len(self.vertices)
 
     def arm_toward(self, vid: str, target: str) -> str:
-        """Neighbor of ``vid`` on the path toward ``target``."""
-        return self.path(vid, target)[1]
+        """Neighbor of ``vid`` on the path toward ``target``: the child of
+        ``vid`` that ``target`` climbs the rooting through, else the parent."""
+        parent, depth = self._parent, self._depth
+        if vid == target or vid not in depth or target not in depth:
+            return self.path(vid, target)[1]  # fails as path does: no arm, or no path
+        while depth[target] > depth[vid] + 1:
+            target = parent[target]
+        return target if parent[target] == vid else parent[vid]
 
     def arm_map(self, vid: str) -> dict[str, str]:
         """The local dynamics at ``vid``: the arm toward each neighbor w maps
@@ -164,6 +177,13 @@ class HubbardTree:
             arms[w] = self.arm_toward(image, self.dynamics[w])
         return arms
 
+    def _arms_at(self, vid: str) -> dict[str, str]:
+        """arm_map(vid), computed once per tree; callers only read it."""
+        arms = self._arms.get(vid)
+        if arms is None:
+            arms = self._arms[vid] = self.arm_map(vid)
+        return arms
+
     def branch_cycles(self) -> list[list[str]]:
         """Dynamics cycles through a branch vertex, each from its least id.
 
@@ -177,11 +197,16 @@ class HubbardTree:
         return [cycle for cycle in _cycles({v: self.dynamics[v] for v in periodic})
                 if not branch.isdisjoint(cycle)]
 
+    @functools.cached_property
+    def _branch_cycles(self) -> list[list[str]]:
+        """branch_cycles(), computed once per tree; callers only read it."""
+        return self.branch_cycles()
+
     def periodic_branch_orbits(self) -> list[list[str]]:
         """Branch cycles rotated to start at their characteristic point,
         sorted by period."""
         result = []
-        for cycle in self.branch_cycles():
+        for cycle in self._branch_cycles:
             at = cycle.index(characteristic_point(self, cycle))
             result.append(cycle[at:] + cycle[:at])
         result.sort(key=lambda orbit: (len(orbit), orbit[0]))
@@ -271,12 +296,12 @@ def build_tree(seq: KneadingSequence | str) -> HubbardTree:
         a = next(iter(adjacency))
         b = adjacency[a][0]
         result = triod(x, a, b)
-        while result in (Middle(2), Middle(3)):
-            if result == Middle(2):
+        while result == _MIDDLE_2 or result == _MIDDLE_3:
+            if result == _MIDDLE_2:
                 a, b = b, a
             # x lies beyond b, seen from a: find the edge at b toward x
             for w in adjacency[b]:
-                if w != a and (result := triod(x, b, w)) != Middle(2):
+                if w != a and (result := triod(x, b, w)) != _MIDDLE_2:
                     a, b = b, w
                     break
             else:
@@ -384,7 +409,7 @@ def arm_permutation(tree: HubbardTree, z: str, period: int) -> tuple[dict[str, s
     current = {arm: arm for arm in arms}
     vertex = z
     for _ in range(period):
-        local = tree.arm_map(vertex)
+        local = tree._arms_at(vertex)
         current = {arm: local[toward] for arm, toward in current.items()}
         vertex = tree.dynamics[vertex]
     if vertex != z:
@@ -479,7 +504,7 @@ def verify_axioms(tree: HubbardTree) -> dict[str, bool]:
     local = checks["tree_shape"]
     if local:
         try:
-            local = all(len(set(tree.arm_map(v.id).values())) == tree.degree(v.id)
+            local = all(len(set(tree._arms_at(v.id).values())) == tree.degree(v.id)
                         for v in tree.vertices if v.id != "c0")
         except StructuralError:
             local = False
@@ -504,7 +529,7 @@ def verify_axioms(tree: HubbardTree) -> dict[str, bool]:
     checks["expansivity"] = (
         len({v.itinerary for v in tree.vertices}) == len(tree.vertices))
 
-    cycles = tree.branch_cycles() if checks["tree_shape"] else []
+    cycles = tree._branch_cycles if checks["tree_shape"] else []
     checks["branch_orbit_degree_constant"] = checks["tree_shape"] and all(
         len({tree.degree(v) for v in cycle}) == 1 for cycle in cycles)
     checks["branch_period_below_sequence_period"] = all(len(c) < n for c in cycles)

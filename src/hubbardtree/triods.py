@@ -112,9 +112,11 @@ class _Context:
     itinerary's region is its preperiod and enough copies of its period that
     ``reach`` symbols can be sliced from each of its states (its first
     preperiod + period positions); ``canon`` maps every position of a region
-    back to the state it reads, and ``starts`` maps each itinerary to its
-    region.  ``reach`` is at least three times the longest itinerary laid
-    out: streams that agree over that many symbols agree forever (Fine and
+    back to the state it reads, and ``starts`` maps each itinerary laid out,
+    and each of its shifts, to the state that reads it: a shift is not laid
+    out again, so the critical orbit is read from the value's region.
+    ``reach`` is at least three times the longest itinerary laid out:
+    streams that agree over that many symbols agree forever (Fine and
     Wilf).  ``memo`` maps event states to outcomes (see the module
     docstring).  A longer itinerary starts a fresh layout, with an empty memo.
     """
@@ -143,7 +145,8 @@ class _Context:
 
 
 def _lay(layout: tuple, itin: Itinerary) -> None:
-    """Append the region of ``itin`` to the layout."""
+    """Append the region of ``itin`` to the layout, and register its states
+    as ``itin`` and its shifts, except any laid out before."""
     tape, canon, reach, starts, _ = layout
     (pre, per), at = itin, len(tape)
     size = len(pre) + len(per)
@@ -152,7 +155,9 @@ def _lay(layout: tuple, itin: Itinerary) -> None:
     tape += region
     canon += range(at, at + size)
     canon += (cycle * (len(region) // len(per)))[:len(region) - size]
-    starts[itin] = at
+    for state in range(at, at + size):
+        starts.setdefault(itin, state)
+        itin = itin.shift()
 
 
 _context = functools.lru_cache(maxsize=1)(_Context)  # the context of the last sequence asked for
