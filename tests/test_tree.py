@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 
 import hubbardtree.tree as tree_module
+import hubbardtree.triods as triods
 from hubbardtree import (
     Branch,
     BranchSpectrumEntry,
@@ -20,12 +21,14 @@ from hubbardtree import (
     UnrealizedPointError,
     analyze_sequence,
     arm_permutation,
+    branch_spectrum,
     build_tree,
     characteristic_point,
     classify_orbits,
     classify_triod,
     closest_precritical_itinerary,
     critical_orbit_itinerary,
+    enumerate_embeddings,
     internal_address,
     lies_between,
     marked_points,
@@ -255,6 +258,68 @@ class TestVerifyAxioms:
         assert len(calls) == 1
 
 
+class TestOnce:
+    """Each fact of a row is computed once: one tape region per periodic
+    orbit of marked points, one branch-cycle pass and one arm map per vertex
+    per tree."""
+
+    @staticmethod
+    def counting(monkeypatch):
+        cycles, arms = Counter(), Counter()
+        branch_cycles, arm_map = HubbardTree.branch_cycles, HubbardTree.arm_map
+
+        def counted_cycles(tree):
+            cycles[tree] += 1
+            return branch_cycles(tree)
+
+        def counted_arms(tree, vid):
+            arms[tree, vid] += 1
+            return arm_map(tree, vid)
+
+        monkeypatch.setattr(HubbardTree, "branch_cycles", counted_cycles)
+        monkeypatch.setattr(HubbardTree, "arm_map", counted_arms)
+        return cycles, arms
+
+    def test_one_row_computes_each_fact_once(self, monkeypatch):
+        cycles, arms = self.counting(monkeypatch)
+        for seq in star_periodic_sequences(9, exact=True):
+            analyze_sequence(seq)
+        assert len(cycles) == 128 and set(cycles.values()) == {1}
+        assert len(arms) >= 128 * 8 and set(arms.values()) == {1}
+
+    def test_embeddings_reuse_the_arm_maps(self, monkeypatch):
+        cycles, arms = self.counting(monkeypatch)
+        tree = build_tree("110001100010011*")
+        assert all(verify_axioms(tree).values())
+        assert len(enumerate_embeddings(tree)) == 4
+        assert set(cycles.values()) == {1} and set(arms.values()) == {1}
+        assert {vid for _, vid in arms} == {v.id for v in tree.vertices} - {"c0"}
+
+    def test_public_containers_are_fresh(self):
+        tree = build_tree(FIG2)
+        expected = classify_orbits(tree)
+        tree.branch_cycles().clear()
+        for v in tree.vertices:
+            tree.arm_map(v.id).clear()
+        assert all(verify_axioms(tree).values())
+        assert classify_orbits(tree) == expected
+
+    def test_marked_points_take_one_region_per_orbit(self, monkeypatch):
+        regions = []
+        lay = triods._lay
+
+        def counted(layout, itin):
+            regions.append(itin)
+            lay(layout, itin)
+
+        monkeypatch.setattr(triods, "_lay", counted)
+        for seq in star_periodic_sequences(9):
+            regions.clear()
+            triods._context.cache_clear()
+            triods._context(seq).lay([p.itinerary for p in marked_points(seq)])
+            assert len(regions) == 1 + len(branch_spectrum(seq)), (str(seq), regions)
+
+
 def endpoint_cycle_tree() -> HubbardTree:
     """The FIG1 tree with its period-3 branch cycle rerouted through the
     endpoint c3: z3.0 -> z3.1 -> c3 -> z3.2 -> z3.0."""
@@ -293,7 +358,10 @@ class TestRootedGeometry:
             for a in tree.vertices:
                 parents = bfs_parents(tree, a.id)
                 for b in tree.vertices:
-                    assert tree.path(a.id, b.id) == bfs_path(parents, b.id), (str(seq), a, b)
+                    path = bfs_path(parents, b.id)
+                    assert tree.path(a.id, b.id) == path, (str(seq), a, b)
+                    if a != b:
+                        assert tree.arm_toward(a.id, b.id) == path[1], (str(seq), a, b)
 
     def test_arm_maps_match_search(self):
         for seq in star_periodic_sequences(8):
@@ -312,6 +380,8 @@ class TestRootedGeometry:
             tree.sequence, tree.vertices, tree.edges[1:], tree.dynamics, tree.critical)
         with pytest.raises(StructuralError, match="disconnected"):
             broken.path(*cut)
+        with pytest.raises(StructuralError, match="disconnected"):
+            broken.arm_toward(*cut)
 
 
 class TestCharacteristicPoint:

@@ -403,3 +403,86 @@ class TestRelayout:
         # tape, and fills the new memo
         assert [_outcome(classify_triod, args, False) for args in queries] == expected
         assert context.layout is new and set(new[3]) >= {p for q in queries for p in q[:3]}
+
+
+def _size(itin: Itinerary) -> int:
+    return len(itin.preperiod) + len(itin.period)
+
+
+class TestRegisteredShifts:
+    """A laid-out itinerary's shifts, which for a periodic one are the
+    rotations of its word, are read from its region instead of being laid
+    out again; each must read exactly as it does from a region of its own."""
+
+    @staticmethod
+    def laid(seq: KneadingSequence, points: list[Itinerary], own: Itinerary | None = None):
+        """A cold context holding the points, with ``own`` moved to a region
+        of its own."""
+        triods._context.cache_clear()
+        layout = triods._context(seq).lay(points)
+        if own is not None:
+            del layout[3][own]
+            at = len(layout[0])
+            triods._lay(layout, own)
+            assert layout[3][own] == at
+        return layout
+
+    @staticmethod
+    def assert_one_region_per_orbit(layout: tuple, tree) -> None:
+        """The critical orbit sits in the value's region, and each spectrum
+        orbit in the region of its characteristic point."""
+        seq = tree.sequence
+        for k in range(seq.period):
+            assert layout[3][critical_orbit_itinerary(seq, k)] == (k - 1) % seq.period
+        for entry in tree.spectrum:
+            itin = entry.characteristic_itinerary
+            at = layout[3][itin]
+            for j in range(entry.period):
+                assert layout[3][itin] == at + j, (str(seq), entry)
+                itin = itin.shift()
+
+    def test_shifts_read_as_from_their_own_regions(self):
+        rng = random.Random(7)
+        for seq in star_periodic_sequences(8):
+            tree = build_tree(seq)
+            points = [v.itinerary for v in tree.vertices]
+            self.assert_one_region_per_orbit(self.laid(seq, points), tree)
+            for r in points:
+                pairs = [(a, b) for a in points for b in points if len({r, a, b}) == 3]
+                pairs = rng.sample(pairs, min(6, len(pairs)))
+                queries = [(r, a, b, seq) for a, b in pairs] + [(a, r, b, seq) for a, b in pairs]
+                answers = []
+                for own in (None, r):
+                    layout = self.laid(seq, points, own)
+                    answers.append((triods._stars_followed(layout, r),
+                                    [_outcome(classify_triod, q, True) for q in queries]))
+                assert answers[0] == answers[1], (str(seq), r)
+                assert answers[0][0]
+
+    def test_inconsistent_shifts_read_as_from_their_own_regions(self):
+        # every rotation of a word that breaks the value after its STAR
+        for seq in star_periodic_sequences(8, exact=True):
+            word = seq.word[:-2] + bytes([seq.word[-2] ^ 1]) + b"*"
+            rotations = [Itinerary.periodic(word[k:] + word[:k]) for k in range(len(word))]
+            for r in rotations:
+                follows = [triods._stars_followed(self.laid(seq, rotations, own), r)
+                           for own in (None, r)]
+                assert follows == [False, False], (str(seq), r)
+
+    def test_a_relayout_registers_the_shifts_again(self):
+        seq = KneadingSequence.parse("1011010110*")
+        tree = build_tree(seq)
+        points = [v.itinerary for v in tree.vertices]
+        old = self.laid(seq, points)
+        zeta = max((closest_precritical_itinerary(seq, k) for k in range(1, seq.period + 1)),
+                   key=_size)
+        assert 3 * _size(zeta) > old[2]
+        c1 = critical_orbit_itinerary(seq, 1)
+        for r in points:
+            if r != c1:
+                query = (r, zeta, c1, seq)
+                assert (_outcome(classify_triod, query, True)
+                        == _outcome(reference_classify_triod, query, True)), r
+        new = triods._context(seq).layout
+        assert new is not old and new[2] == 3 * _size(zeta)
+        self.assert_one_region_per_orbit(new, tree)
