@@ -124,24 +124,15 @@ def _mismatch_distances(word: bytes) -> tuple[int | None, ...]:
     return tuple(distances)
 
 
-def _mismatch_walk(seq: KneadingSequence, k: int, bound=INFINITY):
-    """Yield ``k``, then ``first_mismatch(k)`` and so on, stopping before
-    INFINITY or before the first entry above ``bound``.
-
-    Entries after ``k`` strictly increase, so membership questions below the
-    bound are decided exactly.
-    """
-    while True:
-        yield k
-        k = first_mismatch(seq, k)
-        if k is INFINITY or k > bound:
-            return
-
-
 def mismatch_orbit(seq: KneadingSequence, k: int, *, stop_above: int | None = None) -> list[int]:
     """The orbit ``k -> first_mismatch(k) -> ...``, stopping before INFINITY
-    (or before the first entry above ``stop_above``)."""
-    return list(_mismatch_walk(seq, k, INFINITY if stop_above is None else stop_above))
+    (or before the first entry above ``stop_above``).  Entries after ``k``
+    strictly increase, so membership below the bound is decided exactly."""
+    bound = INFINITY if stop_above is None else stop_above
+    orbit = [k]
+    while (k := first_mismatch(seq, k)) is not INFINITY and k <= bound:
+        orbit.append(k)
+    return orbit
 
 
 def orbit_contains(seq: KneadingSequence, start: int, target: int) -> bool:
@@ -197,7 +188,7 @@ def internal_address(seq: KneadingSequence, *, limit: int | None = None) -> Inte
     """
     if limit is None:
         limit = seq.period if seq.star_periodic else 4 * seq.period
-    entries = tuple(_mismatch_walk(seq, 1, limit))
+    entries = tuple(mismatch_orbit(seq, 1, stop_above=limit))
     return InternalAddress(entries, terminated=first_mismatch(seq, entries[-1]) is INFINITY)
 
 
