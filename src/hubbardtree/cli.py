@@ -95,8 +95,7 @@ def cmd_analyze(args) -> int:
     row = analyze_sequence(seq)
     if args.json:
         import json
-        record = row._asdict()
-        record["diagnostics"] = diagnostics_record(seq)
+        record = {**row._asdict(), "diagnostics": diagnostics_record(seq)}
         _write([json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"], args.out)
     else:
         _write([row.to_text()], args.out)
@@ -111,9 +110,7 @@ def cmd_tree(args) -> int:
     if args.dot:
         _write([tree.to_dot()], args.out)
     else:
-        import json
-        _write([json.dumps(tree.to_record(), sort_keys=True, separators=(",", ":")) + "\n"],
-               args.out)
+        _write([tree.to_json() + "\n"], args.out)
     return EXIT_OK
 
 
@@ -184,7 +181,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       choices=range(2, ENUMERATION_CAP + 1),
                       help=f"period bound, 2..{ENUMERATION_CAP}")
     enum.add_argument("--exact", action="store_true", help="exactly this period only")
-    enum.add_argument("--jobs", type=int, default=1, help="worker processes")
+    enum.add_argument("--jobs", type=int, default=1, help="worker processes, at least 1")
     enum.add_argument("--out", default=None)
     enum.set_defaults(func=cmd_enumerate)
 
@@ -200,6 +197,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "jobs", 1) < 1:
+            parser.error(f"argument --jobs: must be at least 1, got {args.jobs}")
     except SystemExit as exc:
         # argparse exits 2 on usage errors; keep 2 reserved for cross-checks
         return EXIT_INPUT if exc.code else EXIT_OK

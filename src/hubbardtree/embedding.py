@@ -60,17 +60,12 @@ class EmbeddedTree(NamedTuple):
                 canonical[vid] = arms
         return canonical
 
-    def to_record(self) -> dict:
-        return {
-            "tree": self.tree.to_record(),
-            "cyclic_order": {
-                vid: list(arms) for vid, arms in sorted(self.canonical_cyclic_order().items())
-            },
-            "rotations": dict(sorted(self.rotations.items())),
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_record(), sort_keys=True, separators=(",", ":"))
+        """The canonical orders and the rotations as sorted compact JSON, and
+        the tree's canonical text as it is."""
+        orders, rotations = (json.dumps(part, sort_keys=True, separators=(",", ":"))
+                             for part in (self.canonical_cyclic_order(), self.rotations))
+        return f'{{"cyclic_order":{orders},"rotations":{rotations},"tree":{self.tree.to_json()}}}'
 
 
 def count_embeddings(tree: HubbardTree | list[ObservedOrbit]) -> int:

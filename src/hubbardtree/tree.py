@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import json
-from collections import deque
+from collections import Counter, deque
+from json.encoder import encode_basestring_ascii as _quoted
 from typing import NamedTuple
 
 from .admissibility import BranchSpectrumEntry, OrbitKind, branch_spectrum
@@ -55,28 +55,23 @@ class MarkedPoint(NamedTuple):
     role: Role
 
     def role_text(self) -> str:
-        return ":".join(str(part) for part in self.role)
+        return ":".join(map(str, self.role))
 
 
-def marked_points(seq: KneadingSequence) -> list[MarkedPoint]:
-    """Critical orbit points plus every predicted periodic branch orbit.
-
-    The critical orbit contributes one point per period step; each spectrum
-    entry of period m contributes the m shifts of its characteristic
+def marked_points(seq: KneadingSequence,
+                  spectrum: tuple[BranchSpectrumEntry, ...] | None = None) -> list[MarkedPoint]:
+    """The critical orbit, each point the shift of the one before, plus every
+    predicted periodic branch orbit (the spectrum is computed when not given):
+    an entry of period m contributes the m shifts of its characteristic
     itinerary, indexed so that the dynamics sends index j to j+1 mod m.
     """
     if not seq.star_periodic or seq.period < 2:
         raise ValueError("marked points require a star-periodic sequence of period >= 2")
-    return _marked_points(seq, tuple(branch_spectrum(seq)))
-
-
-def _marked_points(seq: KneadingSequence,
-                   spectrum: tuple[BranchSpectrumEntry, ...]) -> list[MarkedPoint]:
-    points = [
-        MarkedPoint(f"c{k}", critical_orbit_itinerary(seq, k), ("critical", k))
-        for k in range(seq.period)
-    ]
-    for entry in spectrum:
+    points, itin = [], critical_orbit_itinerary(seq, 0)
+    for k in range(seq.period):
+        points.append(MarkedPoint(f"c{k}", itin, ("critical", k)))
+        itin = itin.shift()
+    for entry in branch_spectrum(seq) if spectrum is None else spectrum:
         itin = entry.characteristic_itinerary
         for j in range(entry.period):
             points.append(MarkedPoint(f"z{entry.period}.{j}", itin, ("branch", entry.period, j)))
@@ -148,8 +143,8 @@ class HubbardTree:
                 down.append(parent[down[-1]])
         return up + down[-2::-1]
 
-    def is_connected(self) -> bool:
-        return len(self._depth) == len(self.vertices)
+    def is_tree(self) -> bool:
+        return len(self.edges) == len(self.vertices) - 1 and len(self._depth) == len(self.vertices)
 
     def arm_toward(self, vid: str, target: str) -> str:
         """Neighbor of ``vid`` on the path toward ``target``: the child of
@@ -233,9 +228,19 @@ class HubbardTree:
         lines.append("}")
         return "\n".join(lines) + "\n"
 
+    def to_json(self) -> str:
+        """The canonical text of to_record(), written directly: for str ids, the
+        bytes of json.dumps(record, sort_keys=True, separators=(",", ":"))."""
+        q = _quoted
+        vertices = ",".join(f'{{"id":{q(v.id)},"itinerary":{q(str(v.itinerary))},"role":'
+                            f'{q(v.role_text())}}}' for v in self.vertices)
+        dynamics = ",".join(f"{q(a)}:{q(b)}" for a, b in sorted(self.dynamics.items()))
+        edges = ",".join(f"[{q(a)},{q(b)}]" for a, b in self.edges)
+        return (f'{{"critical":{q(self.critical)},"dynamics":{{{dynamics}}},"edges":[{edges}],'
+                f'"sequence":{q(str(self.sequence))},"vertices":[{vertices}]}}')
+
     def tree_hash(self) -> str:
-        payload = json.dumps(self.to_record(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode("ascii")).hexdigest()
+        return hashlib.sha256(self.to_json().encode("ascii")).hexdigest()
 
 
 def build_tree(seq: KneadingSequence | str) -> HubbardTree:
@@ -257,7 +262,7 @@ def build_tree(seq: KneadingSequence | str) -> HubbardTree:
     if isinstance(seq, str):
         seq = KneadingSequence.parse(seq)
     spectrum = tuple(branch_spectrum(seq))
-    base = _marked_points(seq, spectrum)
+    base = marked_points(seq, spectrum)
     # laid out on the kernel's tape, where a STAR is checked by one window compare
     layout = _context(seq).lay([p.itinerary for p in base])
     for point in base:
@@ -269,6 +274,7 @@ def build_tree(seq: KneadingSequence | str) -> HubbardTree:
 
     # insertion-ordered, so the walk (and its triod count) is reproducible
     adjacency: dict[Itinerary, list[Itinerary]] = {}
+    shifts: dict[Itinerary, Itinerary] = {}  # each vertex's image, for the dynamics too
     queue = deque(p.itinerary for p in base[:seq.period])
 
     def triod(x: Itinerary, a: Itinerary, b: Itinerary) -> Middle | Branch:
@@ -284,7 +290,8 @@ def build_tree(seq: KneadingSequence | str) -> HubbardTree:
         adjacency[v] = list(neighbors)
         for w in neighbors:
             adjacency[w].append(v)
-        queue.append(v.shift())
+        shifts[v] = image = v.shift()
+        queue.append(image)
 
     while queue:
         x = queue.popleft()
@@ -335,7 +342,7 @@ def build_tree(seq: KneadingSequence | str) -> HubbardTree:
 
     dynamics = {}
     for v in vertices:
-        image = index.get(v.itinerary.shift())
+        image = index.get(shifts[v.itinerary])
         if image is None:
             raise StructuralError(f"shift image of {v.id} is not a vertex")
         dynamics[v.id] = vertices[image].id
@@ -343,7 +350,7 @@ def build_tree(seq: KneadingSequence | str) -> HubbardTree:
     tree = HubbardTree(seq, tuple(vertices),
                        tuple((vertices[i].id, vertices[j].id) for i, j in edges),
                        dynamics, "c0", spectrum)
-    if len(tree.edges) != len(tree.vertices) - 1 or not tree.is_connected():
+    if not tree.is_tree():
         raise StructuralError(
             f"vertex/edge relation for {seq} is not a tree "
             f"({len(tree.vertices)} vertices, {len(tree.edges)} edges)")
@@ -488,49 +495,48 @@ def classify_orbits(tree: HubbardTree) -> list[ObservedOrbit]:
 
 def verify_axioms(tree: HubbardTree) -> dict[str, bool]:
     """Individually reported structural checks on a built tree."""
-    seq = tree.sequence
-    n = seq.period
+    n = tree.sequence.period
+    adjacency, parent, depth = tree._adjacency, tree._parent, tree._depth
     checks: dict[str, bool] = {}
 
-    checks["tree_shape"] = (
-        len(tree.edges) == len(tree.vertices) - 1 and tree.is_connected())
+    shape = checks["tree_shape"] = tree.is_tree()
 
     critical_ids = {f"c{k}" for k in range(n)}
     checks["endpoints_on_critical_orbit"] = all(
-        vid in critical_ids for vid in tree.endpoints())
-    checks["critical_value_is_endpoint"] = tree.degree("c1") == 1
-    checks["critical_point_degree"] = tree.degree("c0") <= 2
+        vid in critical_ids for vid, near in adjacency.items() if len(near) == 1)
+    checks["critical_value_is_endpoint"] = len(adjacency["c1"]) == 1
+    checks["critical_point_degree"] = len(adjacency["c0"]) <= 2
 
-    local = checks["tree_shape"]
+    local = shape
     if local:
         try:
-            local = all(len(set(tree._arms_at(v.id).values())) == tree.degree(v.id)
-                        for v in tree.vertices if v.id != "c0")
+            local = all(len(set(tree._arms_at(vid).values())) == len(near)
+                        for vid, near in adjacency.items() if vid != "c0")
         except StructuralError:
             local = False
     checks["local_injectivity"] = local
 
-    covered: set[tuple[str, str]] = set()
-    if checks["tree_shape"]:
+    # each edge is named by its deeper end; the image paths cover all names
+    covered: set[str] = set()
+    if shape:
         for a, b in tree.edges:
-            path = tree.path(tree.dynamics[a], tree.dynamics[b])
-            for x, y in zip(path, path[1:]):
-                covered.add((x, y))
-                covered.add((y, x))
-    checks["edge_images_cover_tree"] = checks["tree_shape"] and all(
-        (a, b) in covered for a, b in tree.edges)
+            x, y = tree.dynamics[a], tree.dynamics[b]
+            while x != y:  # the path climbs the rooting from both ends
+                if depth[x] < depth[y]:
+                    x, y = y, x
+                covered.add(x)
+                x = parent[x]
+    checks["edge_images_cover_tree"] = shape and len(covered) == len(tree.edges)
 
-    preimages: dict[str, int] = {}
-    for vid, image in tree.dynamics.items():
-        preimages[image] = preimages.get(image, 0) + 1
-    checks["at_most_two_preimages"] = all(count <= 2 for count in preimages.values())
+    checks["at_most_two_preimages"] = all(
+        count <= 2 for count in Counter(tree.dynamics.values()).values())
 
     # canonical itineraries are equal exactly when their streams are
     checks["expansivity"] = (
         len({v.itinerary for v in tree.vertices}) == len(tree.vertices))
 
-    cycles = tree._branch_cycles if checks["tree_shape"] else []
-    checks["branch_orbit_degree_constant"] = checks["tree_shape"] and all(
-        len({tree.degree(v) for v in cycle}) == 1 for cycle in cycles)
+    cycles = tree._branch_cycles if shape else []
+    checks["branch_orbit_degree_constant"] = shape and all(
+        len({len(adjacency[v]) for v in cycle}) == 1 for cycle in cycles)
     checks["branch_period_below_sequence_period"] = all(len(c) < n for c in cycles)
     return checks

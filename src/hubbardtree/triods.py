@@ -102,6 +102,7 @@ class Branch(NamedTuple):
 
 
 TriodResult = Middle | Branch
+_MIDDLES = Middle(1), Middle(2), Middle(3)  # most answers: one value each, made once
 
 
 class _Context:
@@ -285,15 +286,14 @@ def classify_triod(
 
     for state, at in seen.items():
         memo[state] = outcome, at
-    kind, *rest = outcome
-    if kind is Branch:
-        return Branch(Itinerary(*rest))  # the recorded symbols, then the cycle forever
-    if kind is Middle:
-        index, discarded, message = rest
-        if discarded >= 0:
-            raise UnrealizedPointError(message)
-        return Middle(index + 1)
-    raise TriodError(rest[0])
+    kind = outcome[0]
+    if kind is Middle:  # (Middle, index, step of its last discard, message)
+        if outcome[2] >= 0:
+            raise UnrealizedPointError(outcome[3])
+        return _MIDDLES[outcome[1]]
+    if kind is Branch:  # the recorded symbols, then the cycle forever
+        return Branch(Itinerary(outcome[1], outcome[2]))
+    raise TriodError(outcome[1])
 
 
 def _cap(n: int, *points: Itinerary) -> int:

@@ -195,6 +195,13 @@ class TestEnumerateCommand:
         assert captured.out == ""
         assert "--period" in captured.err
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_worker_count_below_one_writes_nothing(self, capsys, jobs):
+        assert main(["enumerate", "--period", "3", "--jobs", jobs]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--jobs: must be at least 1" in captured.err
+
     def test_usage_errors_are_input_errors(self):
         assert run_cli(["enumerate"]).returncode == 1
         assert run_cli(["no-such-command"]).returncode == 1
@@ -244,6 +251,13 @@ class TestEnumerateCommand:
         assert list(enumerate_rows(4, exact=True, jobs=64)) == serial
         assert list(enumerate_rows(4, exact=True, jobs=2)) == serial
         assert sizes == [3, 2]
+
+    def test_pool_rows_match_serial_rows(self, monkeypatch):
+        # a real pool in this process, so a pool left running shows here
+        import hubbardtree.atlas as atlas
+
+        monkeypatch.setattr(atlas.os, "cpu_count", lambda: 2)
+        assert list(enumerate_rows(5, jobs=2)) == list(enumerate_rows(5))
 
     def test_rows_satisfy_consistency_law(self):
         for line in enumerate_rows(6):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+import random
 from collections import Counter, deque
 
 import pytest
@@ -137,14 +140,14 @@ class TestBuildTree:
     def test_inconsistent_marked_point_is_rejected(self, monkeypatch):
         # a predicted branch point (listed last) whose STAR is not followed by
         # the sequence itself: every marked point is checked, not only the orbit
-        real = tree_module._marked_points
+        real = tree_module.marked_points
 
-        def with_stray_point(seq, spectrum):
+        def with_stray_point(seq, spectrum=None):
             points = real(seq, spectrum)
             points[-1] = points[-1]._replace(itinerary=Itinerary(b"*", b"0"))
             return points
 
-        monkeypatch.setattr(tree_module, "_marked_points", with_stray_point)
+        monkeypatch.setattr(tree_module, "marked_points", with_stray_point)
         with pytest.raises(StructuralError, match=r"marked point z3\.2 has inconsistent itinerary"):
             build_tree(FIG1)
 
@@ -223,6 +226,47 @@ class TestVerifyAxioms:
             tree.sequence, tree.vertices, tree.edges, dynamics, tree.critical)
         checks = verify_axioms(broken)
         assert checks["tree_shape"] and not checks["local_injectivity"]
+
+    @pytest.mark.parametrize("image", [
+        lambda vid: "c1",  # every edge collapses
+        lambda vid: "c1" if vid.startswith("c") else "z3.0",  # one edge is the whole image
+    ])
+    def test_image_short_of_the_tree_fails_edge_cover(self, image):
+        tree = build_tree(FIG1)
+        dynamics = {vid: image(vid) for vid in tree.dynamics}
+        broken = HubbardTree(tree.sequence, tree.vertices, tree.edges, dynamics, tree.critical)
+        checks = verify_axioms(broken)
+        assert checks["tree_shape"] and not checks["edge_images_cover_tree"]
+
+    def test_edge_cover_matches_the_image_paths(self):
+        # reference: every edge is a step of some edge's image path, in either direction
+        def covers(tree):
+            steps = set()
+            for a, b in tree.edges:
+                path = tree.path(tree.dynamics[a], tree.dynamics[b])
+                steps.update(zip(path, path[1:]), zip(path[1:], path))
+            return all(edge in steps for edge in tree.edges)
+
+        rng, outcomes = random.Random(13), Counter()
+        for text in (FIG1, FIG2, "110001100010011*"):
+            tree = build_tree(text)
+            ids = [v.id for v in tree.vertices]
+            for _ in range(200):
+                dynamics = dict(zip(ids, rng.sample(ids, len(ids)) if rng.random() < 0.5
+                                    else rng.choices(ids, k=len(ids))))
+                broken = HubbardTree(tree.sequence, tree.vertices, tree.edges, dynamics, "c0")
+                expected = covers(broken)
+                assert verify_axioms(broken)["edge_images_cover_tree"] == expected
+                outcomes[expected] += 1
+        assert outcomes[True] and outcomes[False]
+
+    def test_three_preimages_fail(self):
+        tree = build_tree(FIG1)
+        dynamics = dict(tree.dynamics)
+        dynamics["c0"] = dynamics["c5"] = "c2"  # c1 -> c2 already
+        broken = HubbardTree(tree.sequence, tree.vertices, tree.edges, dynamics, tree.critical)
+        checks = verify_axioms(broken)
+        assert checks["tree_shape"] and not checks["at_most_two_preimages"]
 
     def test_repeated_itinerary_fails_expansivity(self):
         tree = build_tree(FIG1)
@@ -318,6 +362,30 @@ class TestOnce:
             triods._context.cache_clear()
             triods._context(seq).lay([p.itinerary for p in marked_points(seq)])
             assert len(regions) == 1 + len(branch_spectrum(seq)), (str(seq), regions)
+
+
+class TestCanonicalText:
+    @staticmethod
+    def dumped(tree: HubbardTree) -> str:
+        return json.dumps(tree.to_record(), sort_keys=True, separators=(",", ":"))
+
+    def test_equals_the_dumped_record(self):
+        for seq in star_periodic_sequences(10):
+            tree = build_tree(seq)
+            assert tree.to_json() == self.dumped(tree), str(seq)
+
+    def test_ids_that_need_escaping(self):
+        tree = build_tree(FIG2)
+        rename = {"c2": 'c"2', "c3": "c\\3", "c4": "c\u00e94", "z5.1": "z\t\U0001d537"}
+        new = lambda vid: rename.get(vid, vid)
+        renamed = HubbardTree(
+            tree.sequence, tuple(v._replace(id=new(v.id)) for v in tree.vertices),
+            tuple((new(a), new(b)) for a, b in tree.edges),
+            {new(a): new(b) for a, b in tree.dynamics.items()}, tree.critical)
+        text = renamed.to_json()
+        assert text == self.dumped(renamed)
+        assert text.isascii() and '\\"2' in text and "\\u00e9" in text
+        assert renamed.tree_hash() == hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
 def endpoint_cycle_tree() -> HubbardTree:
