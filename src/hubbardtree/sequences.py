@@ -27,7 +27,7 @@ _ADDRESS_TEXT = re.compile(r"[0-9]+(-[0-9]+)*", re.ASCII)
 
 
 class ParseError(ValueError):
-    """Raised for malformed sequence / address / itinerary text."""
+    """Raised for a malformed kneading sequence or internal address, as text or as a value."""
 
 
 def _excerpt(text: str | bytes) -> str:
@@ -86,12 +86,6 @@ class KneadingSequence(namedtuple("KneadingSequence", "word")):
     @property
     def star_periodic(self) -> bool:
         return self.word.endswith(b"*")
-
-    def entry(self, k: int) -> int:
-        """1-indexed entry (a byte value) under periodic repetition of the word."""
-        if k < 1:
-            raise ValueError("entries are 1-indexed")
-        return self.word[(k - 1) % len(self.word)]
 
     def __str__(self) -> str:
         return self.word.decode("ascii")

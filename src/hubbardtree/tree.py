@@ -34,8 +34,6 @@ from .triods import (
     Middle,
     TriodError,
     UnrealizedPointError,
-    _context,
-    _stars_followed,
     classify_triod,
 )
 
@@ -263,11 +261,6 @@ def build_tree(seq: KneadingSequence | str) -> HubbardTree:
         seq = KneadingSequence.parse(seq)
     spectrum = tuple(branch_spectrum(seq))
     base = marked_points(seq, spectrum)
-    # laid out on the kernel's tape, where a STAR is checked by one window compare
-    layout = _context(seq).lay([p.itinerary for p in base])
-    for point in base:
-        if not _stars_followed(layout, point.itinerary):
-            raise StructuralError(f"marked point {point.id} has inconsistent itinerary")
     marked = {p.itinerary for p in base}
     if len(marked) != len(base):
         raise StructuralError("marked points do not have distinct itineraries")
@@ -279,7 +272,7 @@ def build_tree(seq: KneadingSequence | str) -> HubbardTree:
 
     def triod(x: Itinerary, a: Itinerary, b: Itinerary) -> Middle | Branch:
         try:
-            return classify_triod(x, a, b, seq, validate=False)
+            return classify_triod(x, a, b, seq)
         except TriodError as exc:
             raise StructuralError(
                 f"inconsistent triod over vertices ({x}, {a}, {b}) of {seq}") from exc

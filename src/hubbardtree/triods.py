@@ -31,13 +31,16 @@ which violates the precondition.
 
 The streams are read from one kernel context per sequence (see _Context).
 Every itinerary queried is laid out once on the context's tape, so a
-stream is one tape position.  A run of all-equal heads only records and
-shifts, so it is taken in one step: the run ends at the first difference of
-the three windows (the top bit of their XOR) or at the first STAR.  States
-are then keyed only at events (exclude, chop, middle); the answer is
-unchanged, because a repeated state still closes whole periods of the state
-sequence, so the same streams stay untouched during it, and Itinerary
-normalization absorbs the later cycle start.
+stream is one tape position.  Every stream on the tape follows the critical
+value after each STAR: an itinerary is checked once, when it is laid out,
+and its shifts, read from its region, follow the value as it does, so a
+query whose points are all on the tape needs no check.  A run of all-equal
+heads only records and shifts, so it is taken in one step: the run ends at
+the first difference of the three windows (the top bit of their XOR) or at
+the first STAR.  States are then keyed only at events (exclude, chop,
+middle); the answer is unchanged, because a repeated state still closes
+whole periods of the state sequence, so the same streams stay untouched
+during it, and Itinerary normalization absorbs the later cycle start.
 
 The context also keeps a memo from each event state (a, b, c) to the
 outcome of the query that passed it, and a later query that reaches a
@@ -70,6 +73,7 @@ from typing import NamedTuple
 from .sequences import Itinerary, KneadingSequence
 
 _STAR = ord("*")
+_EQUAL = "triod points must be pairwise distinct"
 _UNSEPARATED = "two streams never separated; inputs are not itineraries of distinct tree points"
 
 
@@ -123,7 +127,7 @@ class _Context:
     """
 
     def __init__(self, seq: KneadingSequence):
-        self.value = Itinerary.periodic(seq.word)
+        self.sequence, self.value = seq, Itinerary.periodic(seq.word)
         self.lock = allocate_lock()
         self.layout = self._fresh(3 * len(self.value.period))
 
@@ -133,21 +137,34 @@ class _Context:
         return layout
 
     def lay(self, points: tuple[Itinerary, ...] | list[Itinerary]) -> tuple:
-        """The layout holding every one of the points, laying out the missing."""
+        """The layout holding every one of the points, laying out the missing.
+
+        A missing point is checked first: the ``reach`` symbols after the
+        first STAR of its stream must be the value's, else TriodError, and
+        the point is not laid out.  The first STAR decides for every STAR:
+        after it the stream is the value, whose STARs the value follows.
+        """
         with self.lock:
             layout = self.layout
             longest = max(len(p.preperiod) + len(p.period) for p in points)
             if 3 * longest > layout[2]:
                 layout = self.layout = self._fresh(3 * longest)
+            tape, _, reach, starts, _ = layout
             for p in points:
-                if p not in layout[3]:
-                    _lay(layout, p)
+                if p in starts:
+                    continue
+                stream = p.prefix(len(p.preperiod) + len(p.period) + reach)
+                star = stream.find(_STAR)
+                if star >= 0 and stream[star + 1:star + 1 + reach] != tape[:reach]:
+                    raise TriodError(
+                        f"itinerary {p} does not follow {self.sequence} after its STAR")
+                _lay(layout, p)
             return layout
 
 
 def _lay(layout: tuple, itin: Itinerary) -> None:
-    """Append the region of ``itin`` to the layout, and register its states
-    as ``itin`` and its shifts, except any laid out before."""
+    """Append the region of ``itin`` to the layout, unchecked, and register
+    its states as ``itin`` and its shifts, except any laid out before."""
     tape, canon, reach, starts, _ = layout
     (pre, per), at = itin, len(tape)
     size = len(pre) + len(per)
@@ -164,49 +181,29 @@ def _lay(layout: tuple, itin: Itinerary) -> None:
 _context = functools.lru_cache(maxsize=1)(_Context)  # the context of the last sequence asked for
 
 
-def _stars_followed(layout: tuple, itin: Itinerary) -> bool:
-    """Whether every STAR in the stream of the laid-out ``itin`` is followed
-    by the critical value: one compare per STAR of the ``reach`` symbols
-    after it with the value's, which decides equality of the streams."""
-    tape, _, reach, starts, _ = layout
-    at = starts[itin]
-    end = at + len(itin.preperiod) + len(itin.period)
-    star = tape.find(_STAR, at, end)
-    while star >= 0:
-        if tape[star + 1:star + 1 + reach] != tape[:reach]:
-            return False
-        star = tape.find(_STAR, star + 1, end)
-    return True
-
-
 def classify_triod(
     t1: Itinerary,
     t2: Itinerary,
     t3: Itinerary,
     seq: KneadingSequence,
-    *,
-    validate: bool = True,
 ) -> TriodResult:
     """Classify the triod spanned by three distinct itineraries.
 
     Raises TriodError when the inputs cannot belong to three distinct points
-    of the tree for ``seq`` (equal streams, or two simultaneous STAR heads).
-    ``validate=False`` skips the STAR-consistency scan for callers that have
-    already vetted their itineraries.
+    of the tree for ``seq``: equal streams, then a STAR not followed by the
+    critical value, or a contradiction the iteration meets.
     """
     context = _context(seq)
     try:
-        tape, canon, reach, starts, memo = layout = context.layout
+        tape, canon, reach, starts, memo = context.layout
         a, b, c = starts[t1], starts[t2], starts[t3]
     except KeyError:
-        tape, canon, reach, starts, memo = layout = context.lay((t1, t2, t3))
+        if t1 == t2 or t1 == t3 or t2 == t3:  # distinct first, then lay checks STARs
+            raise TriodError(_EQUAL) from None
+        tape, canon, reach, starts, memo = context.lay((t1, t2, t3))
         a, b, c = starts[t1], starts[t2], starts[t3]
-    if a == b or a == c or b == c:
-        raise TriodError("triod points must be pairwise distinct")
-    if validate:
-        for p in (t1, t2, t3):
-            if not _stars_followed(layout, p):
-                raise TriodError(f"itinerary {p} does not follow {seq} after its STAR")
+    if a == b or a == c or b == c:  # equal positions exactly when equal streams
+        raise TriodError(_EQUAL)
 
     n = len(seq.word)
     cap = 4 * n + 16  # a lower bound of _cap, which is only computed past it

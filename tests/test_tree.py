@@ -21,6 +21,7 @@ from hubbardtree import (
     OrbitKind,
     SpectrumMismatchError,
     StructuralError,
+    TriodError,
     UnrealizedPointError,
     analyze_sequence,
     arm_permutation,
@@ -138,18 +139,28 @@ class TestBuildTree:
             build_tree(FIG1)
 
     def test_inconsistent_marked_point_is_rejected(self, monkeypatch):
-        # a predicted branch point (listed last) whose STAR is not followed by
-        # the sequence itself: every marked point is checked, not only the orbit
+        # a marked point whose STAR is not followed by the sequence itself: a
+        # predicted branch point (listed last) is never inserted, so it is
+        # missing from the tree; a critical-orbit point is inserted, and the
+        # kernel rejects it when it lays the point out
         real = tree_module.marked_points
+        stray = Itinerary(b"*", b"0")
 
-        def with_stray_point(seq, spectrum=None):
-            points = real(seq, spectrum)
-            points[-1] = points[-1]._replace(itinerary=Itinerary(b"*", b"0"))
+        def with_stray_point(index):
+            def points(seq, spectrum=None):
+                points = real(seq, spectrum)
+                points[index] = points[index]._replace(itinerary=stray)
+                return points
             return points
 
-        monkeypatch.setattr(tree_module, "marked_points", with_stray_point)
-        with pytest.raises(StructuralError, match=r"marked point z3\.2 has inconsistent itinerary"):
+        monkeypatch.setattr(tree_module, "marked_points", with_stray_point(-1))
+        with pytest.raises(StructuralError, match=r"predicted branch points z3\.2 .* not tree vertices"):
             build_tree(FIG1)
+        monkeypatch.setattr(tree_module, "marked_points", with_stray_point(3))
+        with pytest.raises(StructuralError, match="inconsistent triod") as excinfo:
+            build_tree(FIG1)
+        assert isinstance(excinfo.value.__cause__, TriodError)
+        assert str(excinfo.value.__cause__) == f"itinerary {stray} does not follow {FIG1} after its STAR"
 
 
 class TestTriodBudget:
@@ -566,6 +577,15 @@ class TestClosestPrecritical:
             classify_triod(
                 critical_orbit_itinerary(seq, 0), zeta,
                 critical_orbit_itinerary(seq, 1), seq)
+
+    def test_inconsistent_point_is_an_error_not_a_no(self):
+        # only a contradiction the iteration meets counts as False; a point
+        # whose STAR is not followed by the sequence is bad input
+        seq = KneadingSequence.parse(FIG1)
+        c0, c1 = critical_orbit_itinerary(seq, 0), critical_orbit_itinerary(seq, 1)
+        with pytest.raises(TriodError, match="does not follow") as excinfo:
+            lies_between(seq, Itinerary(b"1", b"*00"), c0, c1)
+        assert not isinstance(excinfo.value, UnrealizedPointError)
 
     def test_mismatch_orbit_orders_the_points(self):
         # between the critical value and the step-k point one finds exactly

@@ -106,13 +106,34 @@ class TestErrors:
             classify_triod(bogus, ONES, critical_orbit_itinerary(nu, 1), nu)
 
     def test_simultaneous_stars_need_inconsistent_streams(self):
-        # unreachable for validated inputs; forcing it requires skipping
-        # validation with a stream that lies about what follows its STAR
+        # unreachable for checked inputs; forcing it requires planting a
+        # stream that lies about what follows its STAR on the tape, raw
         nu = KneadingSequence.parse("10*")
         lying = Itinerary(b"1", b"*00")
         honest = Itinerary(b"1", b"*10")
-        with pytest.raises(TriodError, match="simultaneous"):
-            classify_triod(lying, honest, ONES, nu, validate=False)
+        _plant(nu, [lying])
+        try:
+            with pytest.raises(TriodError, match="simultaneous"):
+                classify_triod(lying, honest, ONES, nu)
+        finally:
+            triods._context.cache_clear()
+
+    def test_rejected_itinerary_stays_off_the_tape(self):
+        # the stream is checked itself even when its shift is on a warm tape;
+        # a rejected stream is not laid out, so asking again fails alike
+        nu = KneadingSequence.parse("10110*")
+        triods._context.cache_clear()
+        build_tree(nu)
+        c0, c1, c2 = (critical_orbit_itinerary(nu, k) for k in range(3))
+        bad = Itinerary(b"*", c2.period)
+        starts = triods._context(nu).layout[3]
+        assert bad.shift() == c2 and c2 in starts and bad not in starts
+        for _ in range(2):
+            with pytest.raises(TriodError) as excinfo:
+                classify_triod(bad, c0, c1, nu)
+            assert type(excinfo.value) is TriodError
+            assert str(excinfo.value) == f"itinerary {bad} does not follow {nu} after its STAR"
+            assert bad not in triods._context(nu).layout[3]
 
 
 class TestAuxiliaryPoints:
@@ -233,23 +254,54 @@ def reference_classify_triod(
             raise TriodError("triod iteration exceeded its cycle bound (structural bug)")
 
 
-def _outcome(kernel, args, validate):
+def _size(itin: Itinerary) -> int:
+    return len(itin.preperiod) + len(itin.period)
+
+
+def _outcome(kernel, args, **options):
     try:
-        return kernel(*args, validate=validate)
+        return kernel(*args, **options)
     except TriodError as exc:
         return type(exc), str(exc)
 
 
+def _plant(seq: KneadingSequence, points) -> None:
+    """A cold context with the points laid out raw, unchecked: the only way
+    a stream that lies about what follows its STAR reaches the tape."""
+    triods._context.cache_clear()
+    context = triods._context(seq)
+    longest = max(map(_size, points))
+    if 3 * longest > context.layout[2]:
+        context.layout = context._fresh(3 * longest)
+    for p in points:
+        if p not in context.layout[3]:
+            triods._lay(context.layout, p)
+
+
+def _kernel_outcome(args, raw: bool):
+    """The kernel's outcome, on its points planted raw on a context cleared
+    before and after when ``raw``."""
+    if not raw:
+        return _outcome(classify_triod, args)
+    _plant(args[3], args[:3])
+    try:
+        return _outcome(classify_triod, args)
+    finally:
+        triods._context.cache_clear()
+
+
 def _differential_corpus() -> list[tuple[tuple, bool]]:
-    """Seeded triod queries: (t1, t2, t3, seq) and the validate flag."""
+    """Seeded triod queries: (t1, t2, t3, seq) and whether the reference
+    checks STAR consistency."""
     corpus = []
     kernel = tree_module.classify_triod
 
-    def recording(*args, validate=True):
-        corpus.append((args, validate))
-        return kernel(*args, validate=validate)
+    def recording(*args):
+        corpus.append((args, False))
+        return kernel(*args)
 
-    # every query build_tree makes for periods <= 10, with validate as sent
+    # every query build_tree makes for periods <= 10, the reference run on
+    # each both unchecked and checked
     tree_module.classify_triod = recording
     try:
         trees = [build_tree(seq) for seq in star_periodic_sequences(10)]
@@ -308,8 +360,12 @@ def _differential_corpus() -> list[tuple[tuple, bool]]:
 
 @functools.cache
 def _reference_answers() -> tuple:
-    """The corpus, each query with the reference kernel's outcome."""
-    return tuple((args, validate, _outcome(reference_classify_triod, args, validate))
+    """The corpus, each query with the reference kernel's outcome and whether
+    the kernel must run it raw: the reference runs it unchecked, and one of
+    its points does not follow the sequence after its STAR."""
+    return tuple((args, not validate and not all(itinerary_consistent_with(p, args[3])
+                                                 for p in args[:3]),
+                  _outcome(reference_classify_triod, args, validate=validate))
                  for args, validate in _differential_corpus())
 
 
@@ -318,8 +374,8 @@ class TestAgainstReference:
         answers = _reference_answers()
         assert len(answers) >= 40_000
         kinds = Counter()
-        for args, validate, expected in answers:
-            assert _outcome(classify_triod, args, validate) == expected, (args, validate)
+        for args, raw, expected in answers:
+            assert _kernel_outcome(args, raw) == expected, (args, raw)
             kinds[type(expected).__name__ if isinstance(expected, (Middle, Branch)) else
                   f"{expected[0].__name__}: {expected[1]}"] += 1
         # every answer and every error the kernel can give appears
@@ -351,18 +407,17 @@ class TestAgainstReference:
         for _, group in groupby(answers, key=lambda answer: answer[0][3]):
             group = list(group)
             for replay in (False, True):
-                for args, validate, expected in group:
-                    assert _outcome(classify_triod, args, validate) == expected, (
-                        replay, args, validate)
+                for args, raw, expected in group:
+                    assert _kernel_outcome(args, raw) == expected, (replay, args, raw)
         # every kind of outcome was replayed
         assert set(replays) == {"Middle", "Branch", "TriodError"}, replays
 
     def test_cold_contexts_agree(self):
         # a fresh context per query: no memo, and the first layout of each
         answers = random.Random(12).sample(_reference_answers(), 10_000)
-        for args, validate, expected in answers:
+        for args, raw, expected in answers:
             triods._context.cache_clear()
-            assert _outcome(classify_triod, args, validate) == expected, (args, validate)
+            assert _kernel_outcome(args, raw) == expected, (args, raw)
 
 
 class TestRelayout:
@@ -371,15 +426,15 @@ class TestRelayout:
         queries = []
         kernel = tree_module.classify_triod
 
-        def recording(*args, validate=True):
+        def recording(*args):
             queries.append(args)
-            return kernel(*args, validate=validate)
+            return kernel(*args)
 
         monkeypatch.setattr(tree_module, "classify_triod", recording)
         triods._context.cache_clear()
         build_tree(seq)
-        expected = [_outcome(reference_classify_triod, args, False) for args in queries]
-        assert [_outcome(classify_triod, args, False) for args in queries] == expected
+        expected = [_outcome(reference_classify_triod, args) for args in queries]
+        assert [_outcome(classify_triod, args) for args in queries] == expected
         context = triods._context(seq)
         old = context.layout
         assert old[4], "the tree queries warm the memo"
@@ -392,21 +447,15 @@ class TestRelayout:
         ends = critical_orbit_itinerary(seq, 0), critical_orbit_itinerary(seq, 1)
         assert all(end in old[3] for end in ends)
         for args in [(ends[0], zeta, ends[1], seq), (zeta, ends[0], ends[1], seq)]:
-            for validate in (True, False):
-                assert (_outcome(classify_triod, args, validate)
-                        == _outcome(reference_classify_triod, args, validate))
+            assert _outcome(classify_triod, args) == _outcome(reference_classify_triod, args)
         new = context.layout
         assert new is not old
         assert new[4] is not old[4] and len(new[4]) < len(old[4])
 
         # replaying the tree queries lays their points out again, on the new
         # tape, and fills the new memo
-        assert [_outcome(classify_triod, args, False) for args in queries] == expected
+        assert [_outcome(classify_triod, args) for args in queries] == expected
         assert context.layout is new and set(new[3]) >= {p for q in queries for p in q[:3]}
-
-
-def _size(itin: Itinerary) -> int:
-    return len(itin.preperiod) + len(itin.period)
 
 
 class TestRegisteredShifts:
@@ -453,21 +502,25 @@ class TestRegisteredShifts:
                 queries = [(r, a, b, seq) for a, b in pairs] + [(a, r, b, seq) for a, b in pairs]
                 answers = []
                 for own in (None, r):
-                    layout = self.laid(seq, points, own)
-                    answers.append((triods._stars_followed(layout, r),
-                                    [_outcome(classify_triod, q, True) for q in queries]))
+                    self.laid(seq, points, own)
+                    answers.append([_outcome(classify_triod, q) for q in queries])
                 assert answers[0] == answers[1], (str(seq), r)
-                assert answers[0][0]
 
     def test_inconsistent_shifts_read_as_from_their_own_regions(self):
-        # every rotation of a word that breaks the value after its STAR
+        # every rotation of a word that breaks the value after its STAR is
+        # rejected, laid out alone or queried, and is not laid out after
         for seq in star_periodic_sequences(8, exact=True):
             word = seq.word[:-2] + bytes([seq.word[-2] ^ 1]) + b"*"
             rotations = [Itinerary.periodic(word[k:] + word[:k]) for k in range(len(word))]
+            ends = critical_orbit_itinerary(seq, 0), critical_orbit_itinerary(seq, 1)
             for r in rotations:
-                follows = [triods._stars_followed(self.laid(seq, rotations, own), r)
-                           for own in (None, r)]
-                assert follows == [False, False], (str(seq), r)
+                triods._context.cache_clear()
+                context = triods._context(seq)
+                with pytest.raises(TriodError, match="does not follow"):
+                    context.lay([r])
+                query = (r, *ends, seq)
+                assert _outcome(classify_triod, query)[1].startswith(f"itinerary {r} does not")
+                assert r not in context.layout[3], (str(seq), r)
 
     def test_a_relayout_registers_the_shifts_again(self):
         seq = KneadingSequence.parse("1011010110*")
@@ -481,8 +534,7 @@ class TestRegisteredShifts:
         for r in points:
             if r != c1:
                 query = (r, zeta, c1, seq)
-                assert (_outcome(classify_triod, query, True)
-                        == _outcome(reference_classify_triod, query, True)), r
+                assert _outcome(classify_triod, query) == _outcome(reference_classify_triod, query), r
         new = triods._context(seq).layout
         assert new is not old and new[2] == 3 * _size(zeta)
         self.assert_one_region_per_orbit(new, tree)
