@@ -7,6 +7,7 @@ geometrically and the two sides are cross-checked against each other.
 
 from __future__ import annotations
 
+import functools
 from enum import Enum
 from typing import NamedTuple
 
@@ -98,12 +99,13 @@ def fails_for_period(seq: KneadingSequence, m: int) -> FailureDiagnostic:
     return FailureDiagnostic(m, cond1, cond2, cond3)
 
 
-def _diagnostics(seq: KneadingSequence) -> list[FailureDiagnostic]:
-    """The one pass over the candidate periods 1..period-1, which is
-    exhaustive for a star-periodic sequence."""
+@functools.lru_cache(maxsize=1)
+def _diagnostics(seq: KneadingSequence) -> tuple[FailureDiagnostic, ...]:
+    """The one pass over the candidate periods 1..period-1, exhaustive for a
+    star-periodic sequence, kept for the latest sequence asked for."""
     if not seq.star_periodic:
         raise ValueError("failing periods are scanned for star-periodic sequences")
-    return [fails_for_period(seq, m) for m in range(1, seq.period)]
+    return tuple(fails_for_period(seq, m) for m in range(1, seq.period))
 
 
 def _arm_count(seq: KneadingSequence, diag: FailureDiagnostic) -> int:

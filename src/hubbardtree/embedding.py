@@ -101,7 +101,7 @@ def _pulled_order(tree: HubbardTree, vid: str, target: tuple[str, ...]) -> tuple
     """The neighbors of ``vid`` ordered by the slot of their arm-map image in
     ``target``, the cyclic order at f(vid); None when those images are not
     distinct arms there."""
-    local = tree._arms_at(vid)
+    local = tree.arm_map(vid)
     slots = {w: i for i, w in enumerate(target)}
     images = set(local.values())
     if len(images) != len(local) or not images <= slots.keys():
@@ -136,7 +136,7 @@ def _embed(tree: HubbardTree, orbits: list[ObservedOrbit],
     if set(rotations) != expected:
         raise ValueError(f"rotations must be given exactly for {sorted(expected)}")
 
-    cyclic = {v.id: tuple(tree.neighbors(v.id)) for v in tree.vertices if tree.degree(v.id) < 3}
+    cyclic = {v.id: tree.neighbors(v.id) for v in tree.vertices if tree.degree(v.id) < 3}
 
     for orbit in orbits:
         z, q = orbit.characteristic, orbit.arms

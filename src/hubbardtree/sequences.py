@@ -69,8 +69,6 @@ class KneadingSequence(namedtuple("KneadingSequence", "word")):
         if stars and (stars > 1 or not word.endswith(b"*")):
             raise ParseError("misplaced '*': a star-periodic word has exactly "
                              "one STAR, in the final slot")
-        if stars and len(word) < 2:
-            raise ParseError("star-periodic words need period >= 2")
         return tuple.__new__(cls, (word,))
 
     @classmethod
@@ -207,6 +205,8 @@ def exact_period(word: bytes) -> int:
     """Smallest divisor d of len(word) with shift-d invariance (no STARs)."""
     if b"*" in word:
         raise ValueError("exact_period is defined for STAR-free words")
+    if not word:
+        raise ValueError("exact_period is defined for nonempty words")
     n = len(word)
     return next(d for d in range(1, n + 1) if n % d == 0 and word[:d] * (n // d) == word)
 

@@ -6,21 +6,21 @@ branch points they meet.  The periodic branch points predicted from the
 sequence are not inserted: each must turn up among the points the walk
 found.  The finished tree is rooted once at the critical point, and every
 path and every arm toward a vertex climbs that rooting.  Each vertex's local
-arm map is computed once per tree, on first use, and shared by the axiom
-checks, the arm permutations and the embedding pull-backs.  The dynamics
-cycles through branch vertices are split out once per tree, by
-branch_cycles; the axiom verifier and the orbit classification both read
-that one list, and the orbits classified from it are compared with the
-predicted spectrum in classify_orbits.
+arm map is computed by arm_map on its first call and returned read-only from
+then on, to the axiom checks, the arm permutations and the embedding
+pull-backs alike.  The dynamics cycles through branch vertices are split out
+likewise, once per tree, by branch_cycles; the axiom verifier and the orbit
+classification both read that one tuple, and the orbits classified from it
+are compared with the predicted spectrum in classify_orbits.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 from collections import Counter, deque
 from json.encoder import encode_basestring_ascii as _quoted
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import NamedTuple, Sequence
 
 from .admissibility import BranchSpectrumEntry, OrbitKind, branch_spectrum
 from .sequences import (
@@ -79,29 +79,28 @@ def marked_points(seq: KneadingSequence,
 
 class HubbardTree:
     """The built tree, carrying the branch spectrum predicted from its
-    sequence (computed from the sequence when not given).  Nothing mutates a
-    tree after construction, apart from the private caches of its arm maps
-    and branch cycles; equality is identity."""
+    sequence.  Nothing mutates a tree after construction, apart from filling
+    in its arm maps and branch cycles on first use; equality is identity."""
+
+    critical = "c0"
 
     def __init__(self, sequence: KneadingSequence, vertices: tuple[MarkedPoint, ...],
-                 edges: tuple[tuple[str, str], ...], dynamics: dict[str, str], critical: str,
-                 spectrum: tuple[BranchSpectrumEntry, ...] | None = None):
+                 edges: tuple[tuple[str, str], ...], dynamics: dict[str, str], *,
+                 spectrum: tuple[BranchSpectrumEntry, ...]):
         self.sequence, self.vertices, self.edges = sequence, vertices, edges
-        self.dynamics, self.critical = dynamics, critical
-        self.spectrum = tuple(branch_spectrum(sequence)) if spectrum is None else spectrum
+        self.dynamics, self.spectrum = dynamics, spectrum
         self._by_id = {v.id: v for v in vertices}
-        adjacency: dict[str, list[str]] = {v.id: [] for v in vertices}
+        near: dict[str, list[str]] = {v.id: [] for v in vertices}
         for a, b in edges:
-            adjacency[a].append(b)
-            adjacency[b].append(a)
+            near[a].append(b)
+            near[b].append(a)
         order = {v.id: i for i, v in enumerate(vertices)}
-        for vid in adjacency:
-            adjacency[vid].sort(key=order.__getitem__)
+        adjacency = {vid: tuple(sorted(ws, key=order.__getitem__)) for vid, ws in near.items()}
         self._adjacency = adjacency
         # one traversal from the critical point roots the tree; paths climb it
-        parent: dict[str, str | None] = {critical: None}
-        depth = {critical: 0}
-        stack = [critical]
+        parent: dict[str, str | None] = {self.critical: None}
+        depth = {self.critical: 0}
+        stack = [self.critical]
         while stack:
             current = stack.pop()
             for nxt in adjacency[current]:
@@ -110,13 +109,14 @@ class HubbardTree:
                     depth[nxt] = depth[current] + 1
                     stack.append(nxt)
         self._parent, self._depth = parent, depth
-        self._arms: dict[str, dict[str, str]] = {}
+        self._arms: dict[str, MappingProxyType[str, str]] = {}
+        self._cycle_cache: tuple[tuple[str, ...], ...] | None = None
 
     def point(self, vid: str) -> MarkedPoint:
         return self._by_id[vid]
 
-    def neighbors(self, vid: str) -> list[str]:
-        return list(self._adjacency[vid])
+    def neighbors(self, vid: str) -> tuple[str, ...]:
+        return self._adjacency[vid]
 
     def degree(self, vid: str) -> int:
         return len(self._adjacency[vid])
@@ -147,61 +147,58 @@ class HubbardTree:
     def arm_toward(self, vid: str, target: str) -> str:
         """Neighbor of ``vid`` on the path toward ``target``: the child of
         ``vid`` that ``target`` climbs the rooting through, else the parent."""
+        if vid == target:
+            raise ValueError(f"no arm at {vid} toward itself")
         parent, depth = self._parent, self._depth
-        if vid == target or vid not in depth or target not in depth:
-            return self.path(vid, target)[1]  # fails as path does: no arm, or no path
+        if vid not in depth or target not in depth:
+            return self.path(vid, target)[1]  # fails as path does: no path
         while depth[target] > depth[vid] + 1:
             target = parent[target]
         return target if parent[target] == vid else parent[vid]
 
-    def arm_map(self, vid: str) -> dict[str, str]:
-        """The local dynamics at ``vid``: the arm toward each neighbor w maps
+    def arm_map(self, vid: str) -> MappingProxyType[str, str]:
+        """The local dynamics at ``vid``, computed on the first call and
+        returned read-only from then on: the arm toward each neighbor w maps
         to the first edge of the path from f(vid) toward f(w), named by its
         far end.
 
         An arm whose image collapses (f(w) == f(vid)) has no first edge; the
         map is then not a local homeomorphism and StructuralError is raised.
         """
-        image = self.dynamics[vid]
-        arms = {}
-        for w in self._adjacency[vid]:
-            if self.dynamics[w] == image:
-                raise StructuralError(f"arm {vid} -> {w} collapses onto {image}")
-            arms[w] = self.arm_toward(image, self.dynamics[w])
-        return arms
-
-    def _arms_at(self, vid: str) -> dict[str, str]:
-        """arm_map(vid), computed once per tree; callers only read it."""
         arms = self._arms.get(vid)
         if arms is None:
-            arms = self._arms[vid] = self.arm_map(vid)
+            image = self.dynamics[vid]
+            local = {}
+            for w in self._adjacency[vid]:
+                if self.dynamics[w] == image:
+                    raise StructuralError(f"arm {vid} -> {w} collapses onto {image}")
+                local[w] = self.arm_toward(image, self.dynamics[w])
+            arms = self._arms[vid] = MappingProxyType(local)
         return arms
 
-    def branch_cycles(self) -> list[list[str]]:
-        """Dynamics cycles through a branch vertex, each from its least id.
+    def branch_cycles(self) -> tuple[tuple[str, ...], ...]:
+        """Dynamics cycles through a branch vertex, each from its least id, once per tree.
 
         The images of the vertex set shrink until they are exactly the
         periodic vertices, which _cycles splits into cycles.
         """
-        periodic = set(self.dynamics)
-        while (image := {self.dynamics[v] for v in periodic}) != periodic:
-            periodic = image
-        branch = set(self.branch_vertices())
-        return [cycle for cycle in _cycles({v: self.dynamics[v] for v in periodic})
-                if not branch.isdisjoint(cycle)]
-
-    @functools.cached_property
-    def _branch_cycles(self) -> list[list[str]]:
-        """branch_cycles(), computed once per tree; callers only read it."""
-        return self.branch_cycles()
+        if self._cycle_cache is None:
+            periodic = set(self.dynamics)
+            while (image := {self.dynamics[v] for v in periodic}) != periodic:
+                periodic = image
+            branch = set(self.branch_vertices())
+            self._cycle_cache = tuple(
+                tuple(cycle) for cycle in _cycles({v: self.dynamics[v] for v in periodic})
+                if not branch.isdisjoint(cycle))
+        return self._cycle_cache
 
     def periodic_branch_orbits(self) -> list[list[str]]:
         """Branch cycles rotated to start at their characteristic point,
         sorted by period."""
         result = []
-        for cycle in self._branch_cycles:
+        for cycle in self.branch_cycles():
             at = cycle.index(characteristic_point(self, cycle))
-            result.append(cycle[at:] + cycle[:at])
+            result.append(list(cycle[at:] + cycle[:at]))
         result.sort(key=lambda orbit: (len(orbit), orbit[0]))
         return result
 
@@ -342,7 +339,7 @@ def build_tree(seq: KneadingSequence | str) -> HubbardTree:
 
     tree = HubbardTree(seq, tuple(vertices),
                        tuple((vertices[i].id, vertices[j].id) for i, j in edges),
-                       dynamics, "c0", spectrum)
+                       dynamics, spectrum=spectrum)
     if not tree.is_tree():
         raise StructuralError(
             f"vertex/edge relation for {seq} is not a tree "
@@ -380,13 +377,13 @@ def lies_between(seq: KneadingSequence, point: Itinerary, a: Itinerary, b: Itine
         return False
 
 
-def characteristic_point(tree: HubbardTree, orbit: list[str]) -> str:
+def characteristic_point(tree: HubbardTree, orbit: Sequence[str]) -> str:
     """The unique orbit point separating the critical value from the critical
     point and the rest of its orbit."""
     seq = tree.sequence
-    spine = tree.path("c0", "c1")
+    spine = tree.path(tree.critical, "c1")
     found = [z for z in orbit if z in spine
-             and not any(z in tree.path("c0", other) for other in orbit if other != z)]
+             and not any(z in tree.path(tree.critical, other) for other in orbit if other != z)]
     if len(found) != 1:
         raise StructuralError(f"expected one characteristic point in {orbit}, found {found}")
     z = found[0]
@@ -409,7 +406,7 @@ def arm_permutation(tree: HubbardTree, z: str, period: int) -> tuple[dict[str, s
     current = {arm: arm for arm in arms}
     vertex = z
     for _ in range(period):
-        local = tree._arms_at(vertex)
+        local = tree.arm_map(vertex)
         current = {arm: local[toward] for arm, toward in current.items()}
         vertex = tree.dynamics[vertex]
     if vertex != z:
@@ -421,7 +418,7 @@ def arm_permutation(tree: HubbardTree, z: str, period: int) -> tuple[dict[str, s
     cycles = _cycles(permutation)
     if len(cycles) == 1:
         return permutation, OrbitKind.TAME
-    toward_critical = tree.arm_toward(z, "c0")
+    toward_critical = tree.arm_toward(z, tree.critical)
     if (
         len(cycles) == 2
         and any(cycle == [toward_critical] for cycle in cycles)
@@ -498,13 +495,13 @@ def verify_axioms(tree: HubbardTree) -> dict[str, bool]:
     checks["endpoints_on_critical_orbit"] = all(
         vid in critical_ids for vid, near in adjacency.items() if len(near) == 1)
     checks["critical_value_is_endpoint"] = len(adjacency["c1"]) == 1
-    checks["critical_point_degree"] = len(adjacency["c0"]) <= 2
+    checks["critical_point_degree"] = len(adjacency[tree.critical]) <= 2
 
     local = shape
     if local:
         try:
-            local = all(len(set(tree._arms_at(vid).values())) == len(near)
-                        for vid, near in adjacency.items() if vid != "c0")
+            local = all(len(set(tree.arm_map(vid).values())) == len(near)
+                        for vid, near in adjacency.items() if vid != tree.critical)
         except StructuralError:
             local = False
     checks["local_injectivity"] = local
@@ -528,7 +525,7 @@ def verify_axioms(tree: HubbardTree) -> dict[str, bool]:
     checks["expansivity"] = (
         len({v.itinerary for v in tree.vertices}) == len(tree.vertices))
 
-    cycles = tree._branch_cycles if shape else []
+    cycles = tree.branch_cycles() if shape else ()
     checks["branch_orbit_degree_constant"] = shape and all(
         len({len(adjacency[v]) for v in cycle}) == 1 for cycle in cycles)
     checks["branch_period_below_sequence_period"] = all(len(c) < n for c in cycles)

@@ -217,6 +217,7 @@ class TestBranchSpectrum:
                 return _original(*args)
 
             monkeypatch.setattr(admissibility, name, counted)
+        admissibility._diagnostics.cache_clear()
         seq = KneadingSequence.parse(text)
         assert len(branch_spectrum(seq)) == 1
         assert calls == {"fails_for_period": seq.period - 1}

@@ -98,6 +98,22 @@ class TestAnalyzeCommand:
         failing = [d for d in record["diagnostics"] if d["fails"]]
         assert [d["period"] for d in failing] == [3]
 
+    def test_json_row_scans_each_period_once(self, monkeypatch, capsys):
+        import hubbardtree.admissibility as admissibility
+
+        calls = []
+        original = admissibility.fails_for_period
+
+        def counted(seq, m):
+            calls.append(m)
+            return original(seq, m)
+
+        monkeypatch.setattr(admissibility, "fails_for_period", counted)
+        admissibility._diagnostics.cache_clear()
+        assert main(["analyze", "1011010110*", "--json"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["diagnostics"]) == 10
+        assert sorted(calls) == list(range(1, 11))
+
 
 class TestTreeCommand:
     def test_dot_output_shape(self):

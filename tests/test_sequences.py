@@ -196,6 +196,10 @@ class TestExactPeriod:
         with pytest.raises(ValueError):
             exact_period(b"10*")
 
+    def test_rejects_empty_word(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            exact_period(b"")
+
 
 class TestUpperLower:
     @pytest.mark.parametrize("text,upper,lower", [

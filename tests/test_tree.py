@@ -225,7 +225,7 @@ class TestVerifyAxioms:
     def test_deleted_edge_breaks_connectivity(self):
         tree = build_tree(FIG1)
         broken = HubbardTree(
-            tree.sequence, tree.vertices, tree.edges[1:], tree.dynamics, tree.critical)
+            tree.sequence, tree.vertices, tree.edges[1:], tree.dynamics, spectrum=tree.spectrum)
         checks = verify_axioms(broken)
         assert not checks["tree_shape"]
 
@@ -234,9 +234,12 @@ class TestVerifyAxioms:
         dynamics = dict(tree.dynamics)
         dynamics["c1"] = dynamics["z3.0"]  # the arm z3.0 -> c1 collapses
         broken = HubbardTree(
-            tree.sequence, tree.vertices, tree.edges, dynamics, tree.critical)
+            tree.sequence, tree.vertices, tree.edges, dynamics, spectrum=tree.spectrum)
         checks = verify_axioms(broken)
         assert checks["tree_shape"] and not checks["local_injectivity"]
+        for _ in range(2):  # a collapsed arm map is never kept
+            with pytest.raises(StructuralError, match="collapses"):
+                broken.arm_map("z3.0")
 
     @pytest.mark.parametrize("image", [
         lambda vid: "c1",  # every edge collapses
@@ -245,7 +248,8 @@ class TestVerifyAxioms:
     def test_image_short_of_the_tree_fails_edge_cover(self, image):
         tree = build_tree(FIG1)
         dynamics = {vid: image(vid) for vid in tree.dynamics}
-        broken = HubbardTree(tree.sequence, tree.vertices, tree.edges, dynamics, tree.critical)
+        broken = HubbardTree(tree.sequence, tree.vertices, tree.edges, dynamics,
+                             spectrum=tree.spectrum)
         checks = verify_axioms(broken)
         assert checks["tree_shape"] and not checks["edge_images_cover_tree"]
 
@@ -265,7 +269,8 @@ class TestVerifyAxioms:
             for _ in range(200):
                 dynamics = dict(zip(ids, rng.sample(ids, len(ids)) if rng.random() < 0.5
                                     else rng.choices(ids, k=len(ids))))
-                broken = HubbardTree(tree.sequence, tree.vertices, tree.edges, dynamics, "c0")
+                broken = HubbardTree(tree.sequence, tree.vertices, tree.edges, dynamics,
+                                     spectrum=tree.spectrum)
                 expected = covers(broken)
                 assert verify_axioms(broken)["edge_images_cover_tree"] == expected
                 outcomes[expected] += 1
@@ -275,7 +280,8 @@ class TestVerifyAxioms:
         tree = build_tree(FIG1)
         dynamics = dict(tree.dynamics)
         dynamics["c0"] = dynamics["c5"] = "c2"  # c1 -> c2 already
-        broken = HubbardTree(tree.sequence, tree.vertices, tree.edges, dynamics, tree.critical)
+        broken = HubbardTree(tree.sequence, tree.vertices, tree.edges, dynamics,
+                             spectrum=tree.spectrum)
         checks = verify_axioms(broken)
         assert checks["tree_shape"] and not checks["at_most_two_preimages"]
 
@@ -285,7 +291,7 @@ class TestVerifyAxioms:
         vertices = tuple(MarkedPoint(v.id, twin, v.role) if v.id == "c5" else v
                          for v in tree.vertices)
         broken = HubbardTree(
-            tree.sequence, vertices, tree.edges, tree.dynamics, tree.critical)
+            tree.sequence, vertices, tree.edges, tree.dynamics, spectrum=tree.spectrum)
         checks = verify_axioms(broken)
         assert checks["tree_shape"] and not checks["expansivity"]
 
@@ -294,7 +300,7 @@ class TestVerifyAxioms:
         assert checks["tree_shape"] and not checks["branch_orbit_degree_constant"]
 
     def test_branch_cycles_are_whole_cycles(self):
-        assert endpoint_cycle_tree().branch_cycles() == [["c3", "z3.2", "z3.0", "z3.1"]]
+        assert endpoint_cycle_tree().branch_cycles() == (("c3", "z3.2", "z3.0", "z3.1"),)
         for seq in star_periodic_sequences(8):
             tree = build_tree(seq)
             cycles = {frozenset(c) for c in tree.branch_cycles()}
@@ -320,44 +326,60 @@ class TestOnce:
 
     @staticmethod
     def counting(monkeypatch):
-        cycles, arms = Counter(), Counter()
-        branch_cycles, arm_map = HubbardTree.branch_cycles, HubbardTree.arm_map
+        """Count each tree's branch-cycle passes (a pass reads the branch
+        vertices once), the arm maps computed (each is wrapped read-only
+        once), and the (tree, vertex) pairs arm_map is asked for."""
+        passes, asked, made = Counter(), set(), []
+        branch_vertices, arm_map = HubbardTree.branch_vertices, HubbardTree.arm_map
+        read_only = tree_module.MappingProxyType
 
-        def counted_cycles(tree):
-            cycles[tree] += 1
-            return branch_cycles(tree)
+        def counted_pass(tree):
+            passes[tree] += 1
+            return branch_vertices(tree)
 
-        def counted_arms(tree, vid):
-            arms[tree, vid] += 1
+        def asked_arms(tree, vid):
+            asked.add((tree, vid))
             return arm_map(tree, vid)
 
-        monkeypatch.setattr(HubbardTree, "branch_cycles", counted_cycles)
-        monkeypatch.setattr(HubbardTree, "arm_map", counted_arms)
-        return cycles, arms
+        def counted_map(arms):
+            made.append(arms)
+            return read_only(arms)
+
+        monkeypatch.setattr(HubbardTree, "branch_vertices", counted_pass)
+        monkeypatch.setattr(HubbardTree, "arm_map", asked_arms)
+        monkeypatch.setattr(tree_module, "MappingProxyType", counted_map)
+        return passes, asked, made
 
     def test_one_row_computes_each_fact_once(self, monkeypatch):
-        cycles, arms = self.counting(monkeypatch)
+        passes, asked, made = self.counting(monkeypatch)
         for seq in star_periodic_sequences(9, exact=True):
             analyze_sequence(seq)
-        assert len(cycles) == 128 and set(cycles.values()) == {1}
-        assert len(arms) >= 128 * 8 and set(arms.values()) == {1}
+        assert len(passes) == 128 and set(passes.values()) == {1}
+        assert len(asked) >= 128 * 8 and len(made) == len(asked)
 
     def test_embeddings_reuse_the_arm_maps(self, monkeypatch):
-        cycles, arms = self.counting(monkeypatch)
+        passes, asked, made = self.counting(monkeypatch)
         tree = build_tree("110001100010011*")
         assert all(verify_axioms(tree).values())
+        assert len(made) == len(tree.vertices) - 1
         assert len(enumerate_embeddings(tree)) == 4
-        assert set(cycles.values()) == {1} and set(arms.values()) == {1}
-        assert {vid for _, vid in arms} == {v.id for v in tree.vertices} - {"c0"}
+        assert set(passes.values()) == {1} and len(made) == len(tree.vertices) - 1
+        assert {vid for _, vid in asked} == {v.id for v in tree.vertices} - {"c0"}
 
-    def test_public_containers_are_fresh(self):
+    def test_shared_facts_are_read_only(self):
         tree = build_tree(FIG2)
-        expected = classify_orbits(tree)
-        tree.branch_cycles().clear()
+        cycles = tree.branch_cycles()
+        assert cycles == (("z5.0", "z5.1", "z5.2", "z5.3", "z5.4"),)
+        assert tree.branch_cycles() is cycles
         for v in tree.vertices:
-            tree.arm_map(v.id).clear()
+            arms = tree.arm_map(v.id)
+            assert tree.arm_map(v.id) is arms
+            with pytest.raises(TypeError):
+                arms[v.id] = v.id
+        expected = classify_orbits(tree)
         assert all(verify_axioms(tree).values())
         assert classify_orbits(tree) == expected
+        assert tree.branch_cycles() is cycles
 
     def test_marked_points_take_one_region_per_orbit(self, monkeypatch):
         regions = []
@@ -392,7 +414,7 @@ class TestCanonicalText:
         renamed = HubbardTree(
             tree.sequence, tuple(v._replace(id=new(v.id)) for v in tree.vertices),
             tuple((new(a), new(b)) for a, b in tree.edges),
-            {new(a): new(b) for a, b in tree.dynamics.items()}, tree.critical)
+            {new(a): new(b) for a, b in tree.dynamics.items()}, spectrum=tree.spectrum)
         text = renamed.to_json()
         assert text == self.dumped(renamed)
         assert text.isascii() and '\\"2' in text and "\\u00e9" in text
@@ -405,7 +427,7 @@ def endpoint_cycle_tree() -> HubbardTree:
     tree = build_tree(FIG1)
     dynamics = dict(tree.dynamics)
     dynamics["z3.1"], dynamics["c3"] = "c3", "z3.2"
-    return HubbardTree(tree.sequence, tree.vertices, tree.edges, dynamics, tree.critical)
+    return HubbardTree(tree.sequence, tree.vertices, tree.edges, dynamics, spectrum=tree.spectrum)
 
 
 def bfs_parents(tree: HubbardTree, start: str) -> dict[str, str | None]:
@@ -452,11 +474,15 @@ class TestRootedGeometry:
                             for w in tree.neighbors(v.id)}
                 assert tree.arm_map(v.id) == expected, (str(seq), v.id)
 
+    def test_no_arm_toward_itself(self):
+        with pytest.raises(ValueError, match="c0"):
+            build_tree(FIG1).arm_toward("c0", "c0")
+
     def test_path_across_components_raises(self):
         tree = build_tree(FIG1)
         cut = tree.edges[0]
         broken = HubbardTree(
-            tree.sequence, tree.vertices, tree.edges[1:], tree.dynamics, tree.critical)
+            tree.sequence, tree.vertices, tree.edges[1:], tree.dynamics, spectrum=tree.spectrum)
         with pytest.raises(StructuralError, match="disconnected"):
             broken.path(*cut)
         with pytest.raises(StructuralError, match="disconnected"):
@@ -537,9 +563,9 @@ class TestClassifyOrbits:
     def test_mismatch_aborts_loudly(self):
         # graft the evil tree onto a sequence that predicts a tame spectrum
         tree = build_tree(FIG1)
-        imposter = HubbardTree(
-            KneadingSequence.parse(FIG2), tree.vertices, tree.edges,
-            tree.dynamics, tree.critical)
+        fig2 = KneadingSequence.parse(FIG2)
+        imposter = HubbardTree(fig2, tree.vertices, tree.edges, tree.dynamics,
+                               spectrum=tuple(branch_spectrum(fig2)))
         with pytest.raises(SpectrumMismatchError):
             classify_orbits(imposter)
 
