@@ -8,8 +8,8 @@ geometrically and the two sides are cross-checked against each other.
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
 from enum import Enum
-from typing import NamedTuple
 
 from .sequences import (
     INFINITY,
@@ -29,7 +29,7 @@ class OrbitKind(Enum):
         return self.value
 
 
-class FailureDiagnostic(NamedTuple):
+class FailureDiagnostic(namedtuple("FailureDiagnostic", "period cond1 cond2 cond3")):
     """The three conjuncts of the period-m failure test, individually.
 
     ``fails`` is their conjunction: m is a candidate period missing from the
@@ -39,10 +39,7 @@ class FailureDiagnostic(NamedTuple):
     (cond3).
     """
 
-    period: int
-    cond1: bool
-    cond2: bool
-    cond3: bool
+    __slots__ = ()
 
     @property
     def fails(self) -> bool:
@@ -52,15 +49,13 @@ class FailureDiagnostic(NamedTuple):
         return {**self._asdict(), "fails": self.fails}
 
 
-class BranchSpectrumEntry(NamedTuple):
-    """Predicted periodic branch orbit: period, arm count, kind, and the
-    itinerary of its characteristic point (the first ``period`` entries of
+class BranchSpectrumEntry(
+        namedtuple("BranchSpectrumEntry", "period arms kind characteristic_itinerary")):
+    """Predicted periodic branch orbit: period, arm count, OrbitKind, and the
+    Itinerary of its characteristic point (the first ``period`` entries of
     the kneading sequence, repeated)."""
 
-    period: int
-    arms: int
-    kind: OrbitKind
-    characteristic_itinerary: Itinerary
+    __slots__ = ()
 
     def summary(self) -> dict:
         return {

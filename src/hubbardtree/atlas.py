@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import json
 import os
+from collections import namedtuple
+from collections.abc import Iterator
 from itertools import product as cartesian
-from typing import Iterator, NamedTuple
 
 from .admissibility import OrbitKind, diagnostics_record  # diagnostics_record is re-exported
 from .embedding import count_embeddings
@@ -26,19 +27,13 @@ from .sequences import (  # ENUMERATION_CAP and CrossCheckError are re-exported
 from .tree import build_tree, classify_orbits, verify_axioms
 
 
-class AtlasRow(NamedTuple):
-    sequence: str
-    period: int
-    internal_address: str
-    admissible: bool
-    failing_periods: tuple[int, ...]
-    spectrum: tuple[dict, ...]
-    embeddings: int
-    tree_hash: str
-    vertices: int
-    edges: int
-    endpoints: tuple[str, ...]
-    max_branch_period: int
+class AtlasRow(namedtuple("AtlasRow", (
+        "sequence period internal_address admissible failing_periods spectrum embeddings "
+        "tree_hash vertices edges endpoints max_branch_period"))):
+    """One sequence's pass through the pipeline; ``spectrum`` holds one
+    BranchSpectrumEntry.summary() dict per predicted orbit."""
+
+    __slots__ = ()
 
     def to_json(self) -> str:
         return json.dumps(self._asdict(), sort_keys=True, separators=(",", ":"))
@@ -142,10 +137,12 @@ def atlas_header(max_period: int, exact: bool) -> str:
 def enumerate_rows(max_period: int, *, exact: bool = False, jobs: int = 1) -> Iterator[str]:
     """JSON row per sequence, lexicographic order regardless of parallelism.
 
-    ``jobs`` is clamped to the CPU count.
+    ``jobs`` is clamped to the CPUs this process may run on (its affinity,
+    where the platform has one, else the CPU count).
     """
     texts = [str(seq) for seq in star_periodic_sequences(max_period, exact=exact)]
-    jobs = min(jobs, os.cpu_count() or 1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    jobs = min(jobs, cpus or 1)
     if jobs <= 1:
         for text in texts:
             yield _row_json(text)

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
 from itertools import product
-from typing import NamedTuple
 
 from .admissibility import OrbitKind
 from .tree import HubbardTree, ObservedOrbit, StructuralError, classify_orbits
@@ -42,10 +42,10 @@ def euler_phi(q: int) -> int:
     return len(coprime_rotations(q))
 
 
-class EmbeddedTree(NamedTuple):
-    tree: HubbardTree
-    cyclic_order: dict[str, tuple[str, ...]]
-    rotations: dict[str, int]
+class EmbeddedTree(namedtuple("EmbeddedTree", "tree cyclic_order rotations")):
+    """A tree, its counterclockwise neighbor order per vertex, and the chosen rotations."""
+
+    __slots__ = ()
 
     def canonical_cyclic_order(self) -> dict[str, tuple[str, ...]]:
         """Rotation-normalized orders: each list starts at the smallest

@@ -17,10 +17,10 @@ are compared with the predicted spectrum in classify_orbits.
 from __future__ import annotations
 
 import hashlib
-from collections import Counter, deque
+from collections import Counter, deque, namedtuple
+from collections.abc import Sequence
 from json.encoder import encode_basestring_ascii as _quoted
 from types import MappingProxyType
-from typing import NamedTuple, Sequence
 
 from .admissibility import BranchSpectrumEntry, OrbitKind, branch_spectrum
 from .sequences import (
@@ -42,26 +42,25 @@ class SpectrumMismatchError(StructuralError):
     """Tree-level orbit classification disagrees with the predicted spectrum."""
 
 
-Role = tuple  # ("critical", k) | ("branch", m, j) | ("prebranch", i)
-
 _MIDDLE_2, _MIDDLE_3 = Middle(2), Middle(3)  # the walk's answers beyond an edge end
 
 
-class MarkedPoint(NamedTuple):
-    id: str
-    itinerary: Itinerary
-    role: Role
+class MarkedPoint(namedtuple("MarkedPoint", "id itinerary role")):
+    """A vertex of the tree: its id, its Itinerary, and its role, one of
+    ``("critical", k)``, ``("branch", m, j)`` or ``("prebranch", i)``."""
+
+    __slots__ = ()
 
     def role_text(self) -> str:
         return ":".join(map(str, self.role))
 
 
 def marked_points(seq: KneadingSequence,
-                  spectrum: tuple[BranchSpectrumEntry, ...] | None = None) -> list[MarkedPoint]:
+                  spectrum: Sequence[BranchSpectrumEntry]) -> list[MarkedPoint]:
     """The critical orbit, each point the shift of the one before, plus every
-    predicted periodic branch orbit (the spectrum is computed when not given):
-    an entry of period m contributes the m shifts of its characteristic
-    itinerary, indexed so that the dynamics sends index j to j+1 mod m.
+    orbit of the predicted branch spectrum: an entry of period m contributes
+    the m shifts of its characteristic itinerary, indexed so that the
+    dynamics sends index j to j+1 mod m.
     """
     if not seq.star_periodic or seq.period < 2:
         raise ValueError("marked points require a star-periodic sequence of period >= 2")
@@ -69,7 +68,7 @@ def marked_points(seq: KneadingSequence,
     for k in range(seq.period):
         points.append(MarkedPoint(f"c{k}", itin, ("critical", k)))
         itin = itin.shift()
-    for entry in branch_spectrum(seq) if spectrum is None else spectrum:
+    for entry in spectrum:
         itin = entry.characteristic_itinerary
         for j in range(entry.period):
             points.append(MarkedPoint(f"z{entry.period}.{j}", itin, ("branch", entry.period, j)))
@@ -444,12 +443,11 @@ def _cycles(permutation: dict[str, str]) -> list[list[str]]:
     return cycles
 
 
-class ObservedOrbit(NamedTuple):
-    period: int
-    arms: int
-    kind: OrbitKind
-    characteristic: str
-    permutation: dict[str, str]
+class ObservedOrbit(namedtuple("ObservedOrbit", "period arms kind characteristic permutation")):
+    """A branch orbit read off the tree; ``characteristic`` is a vertex id, and
+    ``permutation`` maps each arm's neighbor id to its first-return image's."""
+
+    __slots__ = ()
 
 
 def classify_orbits(tree: HubbardTree) -> list[ObservedOrbit]:

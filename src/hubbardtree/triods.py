@@ -68,7 +68,7 @@ from __future__ import annotations
 import functools
 import math
 from _thread import allocate_lock  # threading's own import would cost a cold start
-from typing import NamedTuple
+from collections import namedtuple
 
 from .sequences import Itinerary, KneadingSequence
 
@@ -93,20 +93,22 @@ class UnrealizedPointError(TriodError):
     """
 
 
-class Middle(NamedTuple):
-    """One of the three queried points lies between the other two."""
+class Middle(namedtuple("Middle", "position")):
+    """One of the three queried points lies between the other two: the one
+    at ``position``, counted from 1 in argument order."""
 
-    position: int  # 1-based argument position
+    __slots__ = ()
 
 
-class Branch(NamedTuple):
-    """The three points span a genuine interior branch point."""
+class Branch(namedtuple("Branch", "itinerary")):
+    """The three points span a genuine interior branch point, at ``itinerary``."""
 
-    itinerary: Itinerary
+    __slots__ = ()
 
 
 TriodResult = Middle | Branch
 _MIDDLES = Middle(1), Middle(2), Middle(3)  # most answers: one value each, made once
+_Layout = namedtuple("_Layout", "tape canon reach starts memo")
 
 
 class _Context:
@@ -131,12 +133,12 @@ class _Context:
         self.lock = allocate_lock()
         self.layout = self._fresh(3 * len(self.value.period))
 
-    def _fresh(self, reach: int) -> tuple:
-        layout = (bytearray(), [], reach, {}, {})
+    def _fresh(self, reach: int) -> _Layout:
+        layout = _Layout(bytearray(), [], reach, {}, {})
         _lay(layout, self.value)
         return layout
 
-    def lay(self, points: tuple[Itinerary, ...] | list[Itinerary]) -> tuple:
+    def lay(self, points: tuple[Itinerary, ...] | list[Itinerary]) -> _Layout:
         """The layout holding every one of the points, laying out the missing.
 
         A missing point is checked first: the ``reach`` symbols after the
@@ -147,9 +149,9 @@ class _Context:
         with self.lock:
             layout = self.layout
             longest = max(len(p.preperiod) + len(p.period) for p in points)
-            if 3 * longest > layout[2]:
+            if 3 * longest > layout.reach:
                 layout = self.layout = self._fresh(3 * longest)
-            tape, _, reach, starts, _ = layout
+            tape, reach, starts = layout.tape, layout.reach, layout.starts
             for p in points:
                 if p in starts:
                     continue
@@ -162,7 +164,7 @@ class _Context:
             return layout
 
 
-def _lay(layout: tuple, itin: Itinerary) -> None:
+def _lay(layout: _Layout, itin: Itinerary) -> None:
     """Append the region of ``itin`` to the layout, unchecked, and register
     its states as ``itin`` and its shifts, except any laid out before."""
     tape, canon, reach, starts, _ = layout

@@ -262,17 +262,26 @@ class TestEnumerateCommand:
                 return map(func, items)
 
         monkeypatch.setattr("multiprocessing.Pool", RecordingPool)
-        monkeypatch.setattr(atlas.os, "cpu_count", lambda: 3)
+        # the process may run on fewer CPUs than the machine has
+        monkeypatch.setattr(atlas.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(atlas.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         serial = list(enumerate_rows(4, exact=True))
         assert list(enumerate_rows(4, exact=True, jobs=64)) == serial
         assert list(enumerate_rows(4, exact=True, jobs=2)) == serial
-        assert sizes == [3, 2]
+        # without affinity the CPU count bounds the pool, and an unknown count means serial
+        monkeypatch.delattr(atlas.os, "sched_getaffinity")
+        monkeypatch.setattr(atlas.os, "cpu_count", lambda: 3)
+        assert list(enumerate_rows(4, exact=True, jobs=64)) == serial
+        monkeypatch.setattr(atlas.os, "cpu_count", lambda: None)
+        assert list(enumerate_rows(4, exact=True, jobs=64)) == serial
+        assert sizes == [3, 2, 3]
 
     def test_pool_rows_match_serial_rows(self, monkeypatch):
         # a real pool in this process, so a pool left running shows here
         import hubbardtree.atlas as atlas
 
         monkeypatch.setattr(atlas.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(atlas.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         assert list(enumerate_rows(5, jobs=2)) == list(enumerate_rows(5))
 
     def test_rows_satisfy_consistency_law(self):
@@ -373,12 +382,26 @@ class TestLibrarySide:
         assert result.stdout.strip() == "False"
 
     def test_cli_import_skips_dataclass_machinery(self):
-        # the value types are tuples, so a cold start compiles no dataclass methods
-        code = ("import sys, hubbardtree.cli; "
-                "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        # the value types are namedtuple subclasses, so neither the import nor
+        # a command loads typing or compiles dataclass methods; -S keeps out
+        # what site's .pth files import, and PYTHONPATH finds this package
+        import hubbardtree
+
+        code = (
+            "import io, sys\n"
+            "import hubbardtree.cli as cli\n"
+            "print(sorted({'typing', 'dataclasses', 'inspect'} & set(sys.modules)))\n"
+            "out, sys.stdout = sys.stdout, io.StringIO()\n"
+            "codes = [cli.main(['analyze', '1011010110*', '--json']),\n"
+            "         cli.main(['enumerate', '--period', '5']),\n"
+            "         cli.main(['embed', '1011010110*', '--all'])]\n"
+            "sys.stdout = out\n"
+            "print(codes, sorted({'typing', 'dataclasses', 'inspect'} & set(sys.modules)))\n")
+        root = os.path.dirname(os.path.dirname(os.path.abspath(hubbardtree.__file__)))
+        result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                                text=True, env=dict(os.environ, PYTHONPATH=root))
         assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "[]"
+        assert result.stdout.splitlines() == ["[]", "[0, 0, 0] []"]
 
     def test_row_pickle_round_trip(self):
         row = analyze_sequence("10110*")

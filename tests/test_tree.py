@@ -47,26 +47,30 @@ FIG2 = "1011010110*"
 
 class TestMarkedPoints:
     def test_fig1_counts(self):
-        points = marked_points(KneadingSequence.parse(FIG1))
+        seq = KneadingSequence.parse(FIG1)
+        points = marked_points(seq, branch_spectrum(seq))
         assert len(points) == 9  # 6 critical + 3 branch
         assert [p.id for p in points[:6]] == [f"c{k}" for k in range(6)]
         assert [p.id for p in points[6:]] == ["z3.0", "z3.1", "z3.2"]
 
     def test_two_point_minimum(self):
-        points = marked_points(KneadingSequence.parse("1*"))
+        seq = KneadingSequence.parse("1*")
+        points = marked_points(seq, branch_spectrum(seq))
         assert [p.id for p in points] == ["c0", "c1"]
 
     def test_arc_of_period_three(self):
-        points = marked_points(KneadingSequence.parse("10*"))
+        seq = KneadingSequence.parse("10*")
+        points = marked_points(seq, branch_spectrum(seq))
         assert [p.id for p in points] == ["c0", "c1", "c2"]
 
     def test_fig2_counts(self):
-        points = marked_points(KneadingSequence.parse(FIG2))
+        seq = KneadingSequence.parse(FIG2)
+        points = marked_points(seq, branch_spectrum(seq))
         assert len(points) == 16  # 11 critical + 5 branch
 
     def test_distinct_itineraries(self):
         for seq in star_periodic_sequences(8):
-            points = marked_points(seq)
+            points = marked_points(seq, branch_spectrum(seq))
             assert len({p.itinerary for p in points}) == len(points)
 
 
@@ -393,7 +397,8 @@ class TestOnce:
         for seq in star_periodic_sequences(9):
             regions.clear()
             triods._context.cache_clear()
-            triods._context(seq).lay([p.itinerary for p in marked_points(seq)])
+            triods._context(seq).lay(
+                [p.itinerary for p in marked_points(seq, branch_spectrum(seq))])
             assert len(regions) == 1 + len(branch_spectrum(seq)), (str(seq), regions)
 
 

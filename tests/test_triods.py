@@ -126,14 +126,14 @@ class TestErrors:
         build_tree(nu)
         c0, c1, c2 = (critical_orbit_itinerary(nu, k) for k in range(3))
         bad = Itinerary(b"*", c2.period)
-        starts = triods._context(nu).layout[3]
+        starts = triods._context(nu).layout.starts
         assert bad.shift() == c2 and c2 in starts and bad not in starts
         for _ in range(2):
             with pytest.raises(TriodError) as excinfo:
                 classify_triod(bad, c0, c1, nu)
             assert type(excinfo.value) is TriodError
             assert str(excinfo.value) == f"itinerary {bad} does not follow {nu} after its STAR"
-            assert bad not in triods._context(nu).layout[3]
+            assert bad not in triods._context(nu).layout.starts
 
 
 class TestAuxiliaryPoints:
@@ -271,10 +271,10 @@ def _plant(seq: KneadingSequence, points) -> None:
     triods._context.cache_clear()
     context = triods._context(seq)
     longest = max(map(_size, points))
-    if 3 * longest > context.layout[2]:
+    if 3 * longest > context.layout.reach:
         context.layout = context._fresh(3 * longest)
     for p in points:
-        if p not in context.layout[3]:
+        if p not in context.layout.starts:
             triods._lay(context.layout, p)
 
 
@@ -437,25 +437,25 @@ class TestRelayout:
         assert [_outcome(classify_triod, args) for args in queries] == expected
         context = triods._context(seq)
         old = context.layout
-        assert old[4], "the tree queries warm the memo"
+        assert old.memo, "the tree queries warm the memo"
 
         # a symbolic precritical point has up to 2n - 1 symbols, more than
         # any vertex; the query pairs it with two laid-out points
         zeta = max((closest_precritical_itinerary(seq, k) for k in range(1, seq.period + 1)),
                    key=lambda z: len(z.preperiod) + len(z.period))
-        assert 3 * (len(zeta.preperiod) + len(zeta.period)) > old[2]
+        assert 3 * (len(zeta.preperiod) + len(zeta.period)) > old.reach
         ends = critical_orbit_itinerary(seq, 0), critical_orbit_itinerary(seq, 1)
-        assert all(end in old[3] for end in ends)
+        assert all(end in old.starts for end in ends)
         for args in [(ends[0], zeta, ends[1], seq), (zeta, ends[0], ends[1], seq)]:
             assert _outcome(classify_triod, args) == _outcome(reference_classify_triod, args)
         new = context.layout
         assert new is not old
-        assert new[4] is not old[4] and len(new[4]) < len(old[4])
+        assert new.memo is not old.memo and len(new.memo) < len(old.memo)
 
         # replaying the tree queries lays their points out again, on the new
         # tape, and fills the new memo
         assert [_outcome(classify_triod, args) for args in queries] == expected
-        assert context.layout is new and set(new[3]) >= {p for q in queries for p in q[:3]}
+        assert context.layout is new and set(new.starts) >= {p for q in queries for p in q[:3]}
 
 
 class TestRegisteredShifts:
@@ -470,24 +470,24 @@ class TestRegisteredShifts:
         triods._context.cache_clear()
         layout = triods._context(seq).lay(points)
         if own is not None:
-            del layout[3][own]
-            at = len(layout[0])
+            del layout.starts[own]
+            at = len(layout.tape)
             triods._lay(layout, own)
-            assert layout[3][own] == at
+            assert layout.starts[own] == at
         return layout
 
     @staticmethod
-    def assert_one_region_per_orbit(layout: tuple, tree) -> None:
+    def assert_one_region_per_orbit(layout: triods._Layout, tree) -> None:
         """The critical orbit sits in the value's region, and each spectrum
         orbit in the region of its characteristic point."""
         seq = tree.sequence
         for k in range(seq.period):
-            assert layout[3][critical_orbit_itinerary(seq, k)] == (k - 1) % seq.period
+            assert layout.starts[critical_orbit_itinerary(seq, k)] == (k - 1) % seq.period
         for entry in tree.spectrum:
             itin = entry.characteristic_itinerary
-            at = layout[3][itin]
+            at = layout.starts[itin]
             for j in range(entry.period):
-                assert layout[3][itin] == at + j, (str(seq), entry)
+                assert layout.starts[itin] == at + j, (str(seq), entry)
                 itin = itin.shift()
 
     def test_shifts_read_as_from_their_own_regions(self):
@@ -520,7 +520,7 @@ class TestRegisteredShifts:
                     context.lay([r])
                 query = (r, *ends, seq)
                 assert _outcome(classify_triod, query)[1].startswith(f"itinerary {r} does not")
-                assert r not in context.layout[3], (str(seq), r)
+                assert r not in context.layout.starts, (str(seq), r)
 
     def test_a_relayout_registers_the_shifts_again(self):
         seq = KneadingSequence.parse("1011010110*")
@@ -529,12 +529,12 @@ class TestRegisteredShifts:
         old = self.laid(seq, points)
         zeta = max((closest_precritical_itinerary(seq, k) for k in range(1, seq.period + 1)),
                    key=_size)
-        assert 3 * _size(zeta) > old[2]
+        assert 3 * _size(zeta) > old.reach
         c1 = critical_orbit_itinerary(seq, 1)
         for r in points:
             if r != c1:
                 query = (r, zeta, c1, seq)
                 assert _outcome(classify_triod, query) == _outcome(reference_classify_triod, query), r
         new = triods._context(seq).layout
-        assert new is not old and new[2] == 3 * _size(zeta)
+        assert new is not old and new.reach == 3 * _size(zeta)
         self.assert_one_region_per_orbit(new, tree)
