@@ -16,8 +16,8 @@ from .sequences import (
     Itinerary,
     KneadingSequence,
     StructuralError,
+    _mismatch_distances,
     first_mismatch,
-    orbit_contains,
 )
 
 
@@ -79,18 +79,19 @@ def fails_for_period(seq: KneadingSequence, m: int) -> FailureDiagnostic:
     """
     if m < 1:
         raise ValueError("periods are positive")
-    cond1 = not orbit_contains(seq, 1, m)
-    cond2 = all(
-        first_mismatch(seq, k) <= m
-        for k in range(1, m)
-        if m % k == 0
-    )
-    rho_m = first_mismatch(seq, m)
-    if rho_m is INFINITY:
-        cond3 = False
-    else:
-        r = _reduced_residue(rho_m, m)
-        cond3 = orbit_contains(seq, r, m)
+    # first_mismatch(k) is k + (distances[k % n] or INFINITY): one table read per call
+    distances, n = _mismatch_distances(seq.word), len(seq.word)
+    k = 1
+    while k < m:
+        k += distances[k % n] or INFINITY
+    cond1 = k != m
+    cond2 = all(k + (distances[k % n] or INFINITY) <= m for k in range(1, m) if m % k == 0)
+    distance, cond3 = distances[m % n], False
+    if distance is not None:
+        k = _reduced_residue(m + distance, m)
+        while k < m:
+            k += distances[k % n] or INFINITY
+        cond3 = k == m
     return FailureDiagnostic(m, cond1, cond2, cond3)
 
 
@@ -150,11 +151,12 @@ def tame_arm_count(seq: KneadingSequence, m: int) -> int:
     q(m) >= 3 signals a tame branch point of exact period m; q(m) = 2 means
     the periodic point at that scale is an ordinary arc point.
     """
-    if not orbit_contains(seq, 1, m):
+    diag = fails_for_period(seq, m)
+    if diag.cond1:
         raise ValueError(f"{m} is not an internal-address entry of {seq}")
     if first_mismatch(seq, m) is INFINITY:
         raise ValueError(f"first mismatch of {m} is infinite; no periodic point to count")
-    return _arm_count(seq, fails_for_period(seq, m))
+    return _arm_count(seq, diag)
 
 
 def branch_spectrum(seq: KneadingSequence) -> list[BranchSpectrumEntry]:

@@ -9,22 +9,16 @@ bytes.
 
 from __future__ import annotations
 
-import json
 import os
 from collections import namedtuple
 from collections.abc import Iterator
 from itertools import product as cartesian
 
-from .admissibility import OrbitKind, diagnostics_record  # diagnostics_record is re-exported
+from .admissibility import OrbitKind, _diagnostics, diagnostics_record  # the last is re-exported
 from .embedding import count_embeddings
-from .sequences import (  # ENUMERATION_CAP and CrossCheckError are re-exported
-    ENUMERATION_CAP,
-    CrossCheckError,
-    KneadingSequence,
-    StructuralError,
-    internal_address,
-)
-from .tree import build_tree, classify_orbits, verify_axioms
+# ENUMERATION_CAP and CrossCheckError are re-exported
+from .sequences import ENUMERATION_CAP, CrossCheckError, KneadingSequence, StructuralError
+from .tree import _quoted, build_tree, classify_orbits, verify_axioms
 
 
 class AtlasRow(namedtuple("AtlasRow", (
@@ -36,7 +30,17 @@ class AtlasRow(namedtuple("AtlasRow", (
     __slots__ = ()
 
     def to_json(self) -> str:
-        return json.dumps(self._asdict(), sort_keys=True, separators=(",", ":"))
+        """json.dumps(self._asdict(), sort_keys=True, separators=(",", ":")), written directly."""
+        q = _quoted
+        spectrum = ",".join(f'{{"arms":{e["arms"]},"itinerary":{q(e["itinerary"])},"kind":'
+                            f'{q(e["kind"])},"period":{e["period"]}}}' for e in self.spectrum)
+        return (f'{{"admissible":{"true" if self.admissible else "false"},"edges":{self.edges},'
+                f'"embeddings":{self.embeddings},"endpoints":[{",".join(map(q, self.endpoints))}],'
+                f'"failing_periods":[{",".join(map(str, self.failing_periods))}],'
+                f'"internal_address":{q(self.internal_address)},"max_branch_period":'
+                f'{self.max_branch_period},"period":{self.period},"sequence":{q(self.sequence)},'
+                f'"spectrum":[{spectrum}],"tree_hash":{q(self.tree_hash)},'
+                f'"vertices":{self.vertices}}}')
 
     def to_text(self) -> str:
         lines = [
@@ -91,7 +95,8 @@ def analyze_sequence(seq: KneadingSequence | str) -> AtlasRow:
     return AtlasRow(
         sequence=str(seq),
         period=seq.period,
-        internal_address=str(internal_address(seq)),
+        internal_address="-".join([*(str(d.period) for d in _diagnostics(seq) if not d.cond1),
+                                   str(seq.period)]),  # the m < n where cond1 is false, then n
         admissible=admissible,
         failing_periods=tuple(failing),
         spectrum=tuple(entry.summary() for entry in tree.spectrum),
@@ -125,13 +130,8 @@ def _row_json(text: str) -> str:
 def atlas_header(max_period: int, exact: bool) -> str:
     from . import __version__
 
-    header = {
-        "atlas": "hubbardtree",
-        "version": __version__,
-        "period_bound": max_period,
-        "exact": exact,
-    }
-    return json.dumps(header, sort_keys=True, separators=(",", ":"))
+    return (f'{{"atlas":"hubbardtree","exact":{"true" if exact else "false"},'
+            f'"period_bound":{max_period},"version":{_quoted(__version__)}}}')
 
 
 def enumerate_rows(max_period: int, *, exact: bool = False, jobs: int = 1) -> Iterator[str]:

@@ -263,8 +263,11 @@ def build_tree(seq: KneadingSequence | str) -> HubbardTree:
 
     # insertion-ordered, so the walk (and its triod count) is reproducible
     adjacency: dict[Itinerary, list[Itinerary]] = {}
-    shifts: dict[Itinerary, Itinerary] = {}  # each vertex's image, for the dynamics too
-    queue = deque(p.itinerary for p in base[:seq.period])
+    # each vertex's image, for the dynamics too: c_k's is c_k+1, and add shifts
+    # the rest, so the walk, not the spectrum, finds each predicted orbit
+    critical = [p.itinerary for p in base[:seq.period]]
+    shifts = dict(zip(critical, critical[1:] + critical[:1]))
+    queue = deque(critical)
 
     def triod(x: Itinerary, a: Itinerary, b: Itinerary) -> Middle | Branch:
         try:
@@ -279,8 +282,7 @@ def build_tree(seq: KneadingSequence | str) -> HubbardTree:
         adjacency[v] = list(neighbors)
         for w in neighbors:
             adjacency[w].append(v)
-        shifts[v] = image = v.shift()
-        queue.append(image)
+        queue.append(shifts.get(v) or shifts.setdefault(v, v.shift()))
 
     while queue:
         x = queue.popleft()

@@ -217,7 +217,7 @@ def classify_triod(
     while True:
         if step > cap and step > (cap := _cap(n, t1, t2, t3)):
             raise TriodError("triod iteration exceeded its cycle bound (structural bug)")
-        heads = x, y, z = tape[a], tape[b], tape[c]
+        x, y, z = tape[a], tape[b], tape[c]
         if x == y == z != _STAR:
             # take the whole run: up to the first difference or STAR
             window = tape[a:a + reach]
@@ -254,33 +254,27 @@ def classify_triod(
                 outcome = TriodError, _UNSEPARATED
             break
 
-        if _STAR in heads:
-            if heads.count(_STAR) > 1:
-                outcome = TriodError, "two streams hit the critical point simultaneously"
-                break
-            i = heads.index(_STAR)
-            others = heads[:i] + heads[i + 1:]
-            if others[0] != others[1]:
-                outcome = (Middle, i, last[i], "middle candidate was discarded earlier; "
-                           "an input stream is not the itinerary of a tree point")
-                break
-            recorded.append(others[0])
-            last[i] = step
-            a, b, c = canon[a + 1], canon[b + 1], canon[c + 1]
-        # exactly one head disagrees (two symbols available, no STAR): chop it,
-        # restarting its stream at the critical value (position 0)
-        elif x == y:
-            recorded.append(x)
-            last[2] = step
-            a, b, c = canon[a + 1], canon[b + 1], 0
+        # two heads agree: record their symbol and discard the odd stream,
+        # excluding a STAR head (it shifts) or chopping a 0-1 head (its stream
+        # restarts at the critical value, position 0)
+        if x == y:
+            last[2], common = step, x
+            a, b, c = canon[a + 1], canon[b + 1], canon[c + 1] if z == _STAR else 0
         elif x == z:
-            recorded.append(x)
-            last[1] = step
-            a, b, c = canon[a + 1], 0, canon[c + 1]
-        else:
-            recorded.append(y)
-            last[0] = step
-            a, b, c = 0, canon[b + 1], canon[c + 1]
+            last[1], common = step, x
+            a, b, c = canon[a + 1], canon[b + 1] if y == _STAR else 0, canon[c + 1]
+        elif y == z:
+            last[0], common = step, y
+            a, b, c = canon[a + 1] if x == _STAR else 0, canon[b + 1], canon[c + 1]
+        else:  # three symbols: the STAR head's point separates the other two
+            i = 0 if x == _STAR else 1 if y == _STAR else 2
+            outcome = (Middle, i, last[i], "middle candidate was discarded earlier; "
+                       "an input stream is not the itinerary of a tree point")
+            break
+        if common == _STAR:
+            outcome = TriodError, "two streams hit the critical point simultaneously"
+            break
+        recorded.append(common)
         step += 1
 
     for state, at in seen.items():

@@ -20,6 +20,7 @@ from hubbardtree import (
     first_mismatch,
     internal_address,
     is_admissible,
+    mismatch_orbit,
     orbit_contains,
     tame_arm_count,
 )
@@ -58,6 +59,15 @@ def reference_tame_arm_count(seq, m):
     return q
 
 
+def reference_conditions(seq, m):
+    """cond1-cond3 by definition, from mismatch_orbit and first_mismatch alone."""
+    cond1 = m not in mismatch_orbit(seq, 1, stop_above=m)
+    cond2 = all(first_mismatch(seq, k) <= m for k in range(1, m) if m % k == 0)
+    rho_m = first_mismatch(seq, m)
+    cond3 = rho_m is not INFINITY and m in mismatch_orbit(seq, (rho_m - 1) % m + 1, stop_above=m)
+    return cond1, cond2, cond3
+
+
 def _outcome(count, seq, m):
     try:
         return count(seq, m)
@@ -85,6 +95,19 @@ class TestFailureDiagnostics:
         diag = fails_for_period(KneadingSequence.parse("101*"), 3)
         assert not diag.fails
         assert (diag.cond1, diag.cond2, diag.cond3) == (True, True, False)
+
+    def test_scan_matches_the_definition(self):
+        # every star-periodic sequence of period <= 12, every m in 1..n+1
+        seen = Counter()
+        for seq in star_periodic_sequences(12):
+            for m in range(1, seq.period + 2):
+                diag = fails_for_period(seq, m)
+                assert diag.period == m
+                assert (diag.cond1, diag.cond2, diag.cond3) == reference_conditions(seq, m), (
+                    str(seq), m)
+                seen[diag.cond1, diag.cond2, diag.cond3] += 1
+        # each combination but cond2 false at an address entry occurs
+        assert sum(seen.values()) == 24_575 and len(seen) == 6
 
     def test_serialization(self):
         record = fails_for_period(KneadingSequence.parse("10110*"), 3).to_dict()

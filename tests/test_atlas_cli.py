@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hubbardtree import CrossCheckError, analyze_sequence, build_tree
+from hubbardtree import CrossCheckError, __version__, analyze_sequence, build_tree
 from hubbardtree.atlas import (
     atlas_header,
     diagnostics_record,
@@ -23,7 +23,7 @@ from hubbardtree.atlas import (
     star_periodic_sequences,
 )
 from hubbardtree.cli import MAX_PERIOD, main
-from hubbardtree.sequences import KneadingSequence
+from hubbardtree.sequences import KneadingSequence, internal_address
 
 
 def run_cli(args, **env_extra):
@@ -413,6 +413,10 @@ class TestLibrarySide:
         header = json.loads(atlas_header(7, False))
         assert header["period_bound"] == 7
         assert "version" in header
+        for bound, exact in [(7, False), (12, True)]:
+            assert atlas_header(bound, exact) == dumped({
+                "atlas": "hubbardtree", "version": __version__,
+                "period_bound": bound, "exact": exact})
 
     def test_census_values(self):
         assert [embedding_census(n) for n in (3, 4)] == [3, 6]
@@ -449,6 +453,41 @@ class TestLibrarySide:
 
         monkeypatch.setattr(atlas, "analyze_sequence", boom)
         assert main(["analyze", "10110*"]) == 2
+
+
+def dumped(record: dict) -> str:
+    """The canonical text that AtlasRow.to_json and atlas_header write directly."""
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+class TestRowText:
+    """AtlasRow.to_json writes its text directly, with the bytes of
+    json.dumps over the row's fields, as HubbardTree.to_json does for trees."""
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        return [(seq, analyze_sequence(seq)) for seq in star_periodic_sequences(12)]
+
+    def test_equals_the_dumped_row(self, rows):
+        short = [row for seq, row in rows if seq.period <= 10]
+        assert len(short) == 511
+        for row in short:
+            assert row.to_json() == dumped(row._asdict()), row.sequence
+
+    def test_strings_that_need_escaping(self, rows):
+        row = next(row for seq, row in rows if str(seq) == "1011010110*")
+        spectrum = ({**row.spectrum[0], "itinerary": 'z"\\é', "kind": "\t\U0001d537"},)
+        odd = row._replace(sequence='1"0\\1*', internal_address="1-é", spectrum=spectrum,
+                           endpoints=("cé1", 'c"2'), tree_hash="\\")
+        text = odd.to_json()
+        assert text == dumped(odd._asdict())
+        assert text.isascii() and '\\"0' in text and "\\u00e9" in text and "\\ud835" in text
+
+    def test_address_is_read_from_the_diagnostics(self, rows):
+        # every star-periodic sequence of period <= 12
+        assert len(rows) == 2047
+        for seq, row in rows:
+            assert row.internal_address == str(internal_address(seq)), row.sequence
 
 
 # every name `hubbardtree` re-exported when its __init__ imported all six

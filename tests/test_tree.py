@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import sys
 from collections import Counter, deque
 
 import pytest
@@ -384,6 +385,30 @@ class TestOnce:
         assert all(verify_axioms(tree).values())
         assert classify_orbits(tree) == expected
         assert tree.branch_cycles() is cycles
+
+    def test_builder_shifts_each_vertex_at_most_once(self, monkeypatch):
+        """Itinerary.shift calls over the 128 trees of the period-9 atlas
+        (1,464 vertices).  The builder reads the image of c_k as c_k+1 and
+        shifts every other vertex once, when it is added.  Two repeats are
+        kept: the kernel's region registration shifts each itinerary it lays
+        out once per state, and marked_points shifts along each marked orbit,
+        so a predicted branch point is shifted there and again by the builder,
+        which does not read its image from the spectrum: the walk, not the
+        prediction, must find each orbit."""
+        calls = Counter()
+        shift = Itinerary.shift
+
+        def counted(itin):
+            calls[sys._getframe(1).f_code.co_name] += 1
+            return shift(itin)
+
+        monkeypatch.setattr(Itinerary, "shift", counted)
+        triods._context.cache_clear()
+        vertices = sum(len(build_tree(seq).vertices)
+                       for seq in star_periodic_sequences(9, exact=True))
+        assert vertices == 1464
+        assert calls == {"marked_points": 1351, "_lay": 1518, "add": 312}
+        assert sum(calls.values()) == 3181
 
     def test_marked_points_take_one_region_per_orbit(self, monkeypatch):
         regions = []
