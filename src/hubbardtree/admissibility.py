@@ -57,14 +57,6 @@ class BranchSpectrumEntry(
 
     __slots__ = ()
 
-    def summary(self) -> dict:
-        return {
-            "period": self.period,
-            "arms": self.arms,
-            "kind": str(self.kind),
-            "itinerary": str(self.characteristic_itinerary),
-        }
-
 
 def _reduced_residue(value: int, modulus: int) -> int:
     """The unique r in {1..modulus} congruent to value mod modulus."""
@@ -178,6 +170,5 @@ def branch_spectrum(seq: KneadingSequence) -> list[BranchSpectrumEntry]:
     for entry in entries:
         # a shorter exact period would mean two orbit points share an itinerary
         if len(entry.characteristic_itinerary.period) != entry.period:
-            raise StructuralError(f"{seq}: spectrum entry {entry.summary()} has a "
-                                  "shorter exact period")
+            raise StructuralError(f"{seq}: spectrum entry {entry} has a shorter exact period")
     return entries

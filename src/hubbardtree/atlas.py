@@ -24,16 +24,17 @@ from .tree import _quoted, build_tree, classify_orbits, verify_axioms
 class AtlasRow(namedtuple("AtlasRow", (
         "sequence period internal_address admissible failing_periods spectrum embeddings "
         "tree_hash vertices edges endpoints max_branch_period"))):
-    """One sequence's pass through the pipeline; ``spectrum`` holds one
-    BranchSpectrumEntry.summary() dict per predicted orbit."""
+    """One sequence's pass through the pipeline; ``spectrum`` holds the
+    tree's BranchSpectrumEntry values, one per predicted orbit."""
 
     __slots__ = ()
 
     def to_json(self) -> str:
-        """json.dumps(self._asdict(), sort_keys=True, separators=(",", ":")), written directly."""
+        """The row's one writer: json.dumps(sort_keys=True, separators=(",", ":")) over its
+        fields, each spectrum entry as {arms, itinerary, kind, period}, written directly."""
         q = _quoted
-        spectrum = ",".join(f'{{"arms":{e["arms"]},"itinerary":{q(e["itinerary"])},"kind":'
-                            f'{q(e["kind"])},"period":{e["period"]}}}' for e in self.spectrum)
+        spectrum = ",".join(f'{{"arms":{e.arms},"itinerary":{q(str(e.characteristic_itinerary))},'
+                            f'"kind":{q(str(e.kind))},"period":{e.period}}}' for e in self.spectrum)
         return (f'{{"admissible":{"true" if self.admissible else "false"},"edges":{self.edges},'
                 f'"embeddings":{self.embeddings},"endpoints":[{",".join(map(q, self.endpoints))}],'
                 f'"failing_periods":[{",".join(map(str, self.failing_periods))}],'
@@ -50,9 +51,8 @@ class AtlasRow(namedtuple("AtlasRow", (
             f"admissible: {'true' if self.admissible else 'false'}",
             "failing-periods: " + (",".join(str(m) for m in self.failing_periods) or "none"),
         ]
-        lines += [f"orbit: kind={entry['kind']} period={entry['period']} "
-                  f"arms={entry['arms']} itinerary={entry['itinerary']}"
-                  for entry in self.spectrum] or ["orbit: none"]
+        lines += [f"orbit: kind={e.kind} period={e.period} arms={e.arms} itinerary="
+                  f"{e.characteristic_itinerary}" for e in self.spectrum] or ["orbit: none"]
         lines.append(
             f"tree: vertices={self.vertices} edges={self.edges} "
             f"endpoints={','.join(self.endpoints)} max-branch-period={self.max_branch_period}")
@@ -99,7 +99,7 @@ def analyze_sequence(seq: KneadingSequence | str) -> AtlasRow:
                                    str(seq.period)]),  # the m < n where cond1 is false, then n
         admissible=admissible,
         failing_periods=tuple(failing),
-        spectrum=tuple(entry.summary() for entry in tree.spectrum),
+        spectrum=tree.spectrum,
         embeddings=embeddings,
         tree_hash=tree.tree_hash(),
         vertices=len(tree.vertices),

@@ -65,18 +65,21 @@ def _parse_input(text: str) -> KneadingSequence:
 def _write(chunks, out: str | None) -> None:
     """Stream text chunks to stdout as they are produced, or to ``out``.
 
-    A file is written under a temporary name in the same directory and
-    renamed over ``out`` only once every chunk is in, so a failure midway
-    leaves no truncated output behind.
+    A regular or new file is written under a temporary name next to it, past
+    any symlink, and renamed over it once every chunk is in, so a failure
+    midway leaves no truncated output; a FIFO or a device is written in place.
     """
     if out is None:
         sys.stdout.writelines(chunks)
         return
-    partial = f"{out}.{os.getpid()}.tmp"
+    target = os.path.realpath(out)
+    partial = f"{target}.{os.getpid()}.tmp"
     try:
-        with open(partial, "w", encoding="ascii") as handle:
+        in_place = os.path.exists(target) and not os.path.isfile(target)
+        with open(out if in_place else partial, "w", encoding="ascii") as handle:
             handle.writelines(chunks)
-        os.replace(partial, out)
+        if not in_place:
+            os.replace(partial, target)
     except OSError as exc:
         if exc.filename != partial:
             raise
@@ -95,8 +98,11 @@ def cmd_analyze(args) -> int:
     row = analyze_sequence(seq)
     if args.json:
         import json
-        record = {**row._asdict(), "diagnostics": diagnostics_record(seq)}
-        _write([json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"], args.out)
+        # the row's own text with "diagnostics" at its sorted place, right
+        # after "admissible", whose value (true or false) holds no comma
+        head, tail = row.to_json().split(",", 1)
+        diagnostics = json.dumps(diagnostics_record(seq), sort_keys=True, separators=(",", ":"))
+        _write([f'{head},"diagnostics":{diagnostics},{tail}\n'], args.out)
     else:
         _write([row.to_text()], args.out)
     return EXIT_OK

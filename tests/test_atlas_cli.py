@@ -14,7 +14,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hubbardtree import CrossCheckError, __version__, analyze_sequence, build_tree
+from hubbardtree import (
+    BranchSpectrumEntry,
+    CrossCheckError,
+    __version__,
+    analyze_sequence,
+    build_tree,
+)
 from hubbardtree.atlas import (
     atlas_header,
     diagnostics_record,
@@ -235,6 +241,34 @@ class TestEnumerateCommand:
         assert main(["enumerate", "--period", "4", "--out", str(out)]) == 2
         assert list(tmp_path.iterdir()) == []
 
+    def test_out_through_a_symlink_writes_its_target(self, tmp_path):
+        data = tmp_path / "data"
+        data.mkdir()
+        target, link = data / "target.txt", tmp_path / "link.txt"
+        target.write_text("old\n", encoding="ascii")
+        link.symlink_to(target)
+        assert main(["enumerate", "--period", "3", "--out", str(link)]) == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_text(encoding="ascii").startswith('{"atlas":"hubbardtree"')
+        assert list(data.iterdir()) == [target]
+        assert sorted(tmp_path.iterdir()) == [data, link]
+
+    def test_out_to_a_fifo_writes_in_place(self, tmp_path):
+        import stat
+        import threading
+
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        # a daemon, so a reader left blocked on a replaced FIFO cannot hold the suite open
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert main(["convert", "10110*", "--out", str(fifo)]) == 0
+        reader.join(timeout=10)
+        assert not reader.is_alive() and received == [b"1-2-4-5-6\n"]
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert list(tmp_path.iterdir()) == [fifo]
+
     def test_out_file_matches_stdout(self, tmp_path, capsys):
         out = tmp_path / "atlas.jsonl"
         assert main(["enumerate", "--period", "4", "--out", str(out)]) == 0
@@ -373,6 +407,11 @@ class TestLibrarySide:
         assert row.period == 6
         assert row.tree_hash == build_tree("10110*").tree_hash()
         assert row.endpoints == ("c1", "c2", "c3", "c4", "c5")
+        # the row holds the tree's own spectrum entries
+        for text in ("10110*", "1011010110*", "110001100010011*"):
+            spectrum = analyze_sequence(text).spectrum
+            assert spectrum == build_tree(text).spectrum, text
+            assert spectrum and all(type(entry) is BranchSpectrumEntry for entry in spectrum)
 
     def test_cli_import_skips_multiprocessing(self):
         # only enumerate --jobs > 1 uses the pool; every other command skips its import
@@ -460,6 +499,13 @@ def dumped(record: dict) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
+def row_record(row) -> dict:
+    """The row's fields, with each spectrum entry as the object its text holds."""
+    entries = [{"arms": e.arms, "itinerary": str(e.characteristic_itinerary),
+                "kind": str(e.kind), "period": e.period} for e in row.spectrum]
+    return {**row._asdict(), "spectrum": entries}
+
+
 class TestRowText:
     """AtlasRow.to_json writes its text directly, with the bytes of
     json.dumps over the row's fields, as HubbardTree.to_json does for trees."""
@@ -472,16 +518,29 @@ class TestRowText:
         short = [row for seq, row in rows if seq.period <= 10]
         assert len(short) == 511
         for row in short:
-            assert row.to_json() == dumped(row._asdict()), row.sequence
+            assert row.to_json() == dumped(row_record(row)), row.sequence
 
     def test_strings_that_need_escaping(self, rows):
         row = next(row for seq, row in rows if str(seq) == "1011010110*")
-        spectrum = ({**row.spectrum[0], "itinerary": 'z"\\é', "kind": "\t\U0001d537"},)
-        odd = row._replace(sequence='1"0\\1*', internal_address="1-é", spectrum=spectrum,
+        entry = row.spectrum[0]._replace(characteristic_itinerary='z"\\é', kind="\t\U0001d537")
+        odd = row._replace(sequence='1"0\\1*', internal_address="1-é", spectrum=(entry,),
                            endpoints=("cé1", 'c"2'), tree_hash="\\")
         text = odd.to_json()
-        assert text == dumped(odd._asdict())
+        assert text == dumped(row_record(odd))
         assert text.isascii() and '\\"0' in text and "\\u00e9" in text and "\\ud835" in text
+
+    def test_analyze_json_is_the_row_text_with_diagnostics(self, rows, capsys):
+        # every sequence of period <= 10, then the golden inputs (two of
+        # them are among those; 110001100010011* has period 16)
+        seqs = [seq for seq, _ in rows if seq.period <= 10]
+        seqs += [KneadingSequence.parse(text)
+                 for text in ("10110*", "1011010110*", "110001100010011*")]
+        assert len(seqs) == 514
+        for seq in seqs:
+            capsys.readouterr()
+            assert main(["analyze", str(seq), "--json"]) == 0
+            record = {**row_record(analyze_sequence(seq)), "diagnostics": diagnostics_record(seq)}
+            assert capsys.readouterr().out == dumped(record) + "\n", str(seq)
 
     def test_address_is_read_from_the_diagnostics(self, rows):
         # every star-periodic sequence of period <= 12
@@ -545,8 +604,13 @@ class TestColdStart:
     def test_tree_commands_skip_the_atlas(self, argv, skipped):
         assert loaded_after(argv) == BASE | LAYERS - {f"hubbardtree.{m}" for m in skipped}
 
-    def test_analyze_loads_every_layer(self):
-        assert loaded_after(["analyze", "10110*"]) == BASE | LAYERS
+    # the benchmark traces analyze --json and enumerate, and its tracer
+    # needs every layer module loaded
+    @pytest.mark.parametrize("argv", [["analyze", "10110*"], ["analyze", "10110*", "--json"],
+                                      ["enumerate", "--period", "3"]],
+                             ids=["analyze", "analyze-json", "enumerate"])
+    def test_analyze_loads_every_layer(self, argv):
+        assert loaded_after(argv) == BASE | LAYERS
 
     def test_reexports_resolve_to_their_definitions(self):
         import importlib
