@@ -68,11 +68,17 @@ def _write(chunks, out: str | None) -> None:
     A regular or new file is written under a temporary name next to it, past
     any symlink, and renamed over it once every chunk is in, so a failure
     midway leaves no truncated output; a FIFO or a device is written in place.
+    A path that cannot be resolved, such as a symlink loop, writes nothing.
     """
     if out is None:
         sys.stdout.writelines(chunks)
         return
-    target = os.path.realpath(out)
+    try:
+        target = os.path.realpath(out, strict=True)
+    except FileNotFoundError:  # a new file, or a dangling link: write where it points
+        target = os.path.realpath(out)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, out) from None
     partial = f"{target}.{os.getpid()}.tmp"
     try:
         in_place = os.path.exists(target) and not os.path.isfile(target)
@@ -92,17 +98,20 @@ def _write(chunks, out: str | None) -> None:
 
 def cmd_analyze(args) -> int:
     seq = _parse_input(args.input)
-    from .admissibility import diagnostics_record
+    from .admissibility import _diagnostics
     from .atlas import analyze_sequence
 
     row = analyze_sequence(seq)
     if args.json:
-        import json
         # the row's own text with "diagnostics" at its sorted place, right
-        # after "admissible", whose value (true or false) holds no comma
+        # after "admissible", whose value (true or false) holds no comma; each
+        # diagnostic as json.dumps(sort_keys=True) writes its record
+        flag = "false", "true"
+        diagnostics = ",".join(
+            f'{{"cond1":{flag[d.cond1]},"cond2":{flag[d.cond2]},"cond3":{flag[d.cond3]},'
+            f'"fails":{flag[d.fails]},"period":{d.period}}}' for d in _diagnostics(seq))
         head, tail = row.to_json().split(",", 1)
-        diagnostics = json.dumps(diagnostics_record(seq), sort_keys=True, separators=(",", ":"))
-        _write([f'{head},"diagnostics":{diagnostics},{tail}\n'], args.out)
+        _write([f'{head},"diagnostics":[{diagnostics}],{tail}\n'], args.out)
     else:
         _write([row.to_text()], args.out)
     return EXIT_OK

@@ -10,7 +10,6 @@ else is forced by pulling orders back along the dynamics.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import namedtuple
 from itertools import product
@@ -63,6 +62,7 @@ class EmbeddedTree(namedtuple("EmbeddedTree", "tree cyclic_order rotations")):
     def to_json(self) -> str:
         """The canonical orders and the rotations as sorted compact JSON, and
         the tree's canonical text as it is."""
+        import json  # here: analyze and enumerate load this module, but write no json
         orders, rotations = (json.dumps(part, sort_keys=True, separators=(",", ":"))
                              for part in (self.canonical_cyclic_order(), self.rotations))
         return f'{{"cyclic_order":{orders},"rotations":{rotations},"tree":{self.tree.to_json()}}}'

@@ -19,7 +19,6 @@ from __future__ import annotations
 import hashlib
 from collections import Counter, deque, namedtuple
 from collections.abc import Sequence
-from json.encoder import encode_basestring_ascii as _quoted
 from types import MappingProxyType
 
 from .admissibility import BranchSpectrumEntry, OrbitKind, branch_spectrum
@@ -226,15 +225,24 @@ class HubbardTree:
         """The canonical text of to_record(), written directly: for str ids, the
         bytes of json.dumps(record, sort_keys=True, separators=(",", ":"))."""
         q = _quoted
-        vertices = ",".join(f'{{"id":{q(v.id)},"itinerary":{q(str(v.itinerary))},"role":'
+        ids = {v.id: q(v.id) for v in self.vertices}  # each id quoted once
+        vertices = ",".join(f'{{"id":{ids[v.id]},"itinerary":{q(str(v.itinerary))},"role":'
                             f'{q(v.role_text())}}}' for v in self.vertices)
-        dynamics = ",".join(f"{q(a)}:{q(b)}" for a, b in sorted(self.dynamics.items()))
-        edges = ",".join(f"[{q(a)},{q(b)}]" for a, b in self.edges)
-        return (f'{{"critical":{q(self.critical)},"dynamics":{{{dynamics}}},"edges":[{edges}],'
+        dynamics = ",".join(f"{ids[a]}:{ids[b]}" for a, b in sorted(self.dynamics.items()))
+        edges = ",".join(f"[{ids[a]},{ids[b]}]" for a, b in self.edges)
+        return (f'{{"critical":{ids[self.critical]},"dynamics":{{{dynamics}}},"edges":[{edges}],'
                 f'"sequence":{q(str(self.sequence))},"vertices":[{vertices}]}}')
 
     def tree_hash(self) -> str:
         return hashlib.sha256(self.to_json().encode("ascii")).hexdigest()
+
+
+def _quoted(text: str) -> str:
+    """``text`` as json.dumps writes it; json loads only for a string that needs escaping."""
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return f'"{text}"'
+    from json.encoder import encode_basestring_ascii
+    return encode_basestring_ascii(text)
 
 
 def build_tree(seq: KneadingSequence | str) -> HubbardTree:

@@ -253,6 +253,25 @@ class TestEnumerateCommand:
         assert list(data.iterdir()) == [target]
         assert sorted(tmp_path.iterdir()) == [data, link]
 
+    def test_out_through_a_dangling_symlink_creates_its_target(self, tmp_path):
+        target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+        link.symlink_to(target)
+        assert main(["convert", "10110*", "--out", str(link)]) == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_text(encoding="ascii") == "1-2-4-5-6\n"
+        assert sorted(tmp_path.iterdir()) == [link, target]
+
+    def test_out_through_a_symlink_loop_writes_nothing(self, tmp_path):
+        first, second = tmp_path / "a", tmp_path / "b"
+        first.symlink_to(second)
+        second.symlink_to(first)
+        result = run_cli(["convert", "10110*", "--out", str(first)])
+        assert result.returncode == 1 and result.stdout == ""
+        assert result.stderr.startswith("error: ") and len(result.stderr.splitlines()) == 1
+        assert f"'{first}'" in result.stderr and ".tmp" not in result.stderr
+        assert os.readlink(first) == str(second) and os.readlink(second) == str(first)
+        assert sorted(tmp_path.iterdir()) == [first, second]
+
     def test_out_to_a_fifo_writes_in_place(self, tmp_path):
         import stat
         import threading
@@ -422,25 +441,30 @@ class TestLibrarySide:
 
     def test_cli_import_skips_dataclass_machinery(self):
         # the value types are namedtuple subclasses, so neither the import nor
-        # a command loads typing or compiles dataclass methods; -S keeps out
-        # what site's .pth files import, and PYTHONPATH finds this package
+        # a command loads typing or compiles dataclass methods; analyze and
+        # enumerate write their JSON text without loading json, and embed,
+        # which may load it, runs last; -S keeps out what site's .pth files
+        # import, and PYTHONPATH finds this package
         import hubbardtree
 
         code = (
             "import io, sys\n"
             "import hubbardtree.cli as cli\n"
-            "print(sorted({'typing', 'dataclasses', 'inspect'} & set(sys.modules)))\n"
+            "print(sorted({'typing', 'dataclasses', 'inspect', 'json'} & set(sys.modules)))\n"
             "out, sys.stdout = sys.stdout, io.StringIO()\n"
             "codes = [cli.main(['analyze', '1011010110*', '--json']),\n"
-            "         cli.main(['enumerate', '--period', '5']),\n"
-            "         cli.main(['embed', '1011010110*', '--all'])]\n"
+            "         cli.main(['analyze', '10110*']),\n"
+            "         cli.main(['enumerate', '--period', '5'])]\n"
+            "json_loaded = 'json' in sys.modules\n"
+            "codes.append(cli.main(['embed', '1011010110*', '--all']))\n"
             "sys.stdout = out\n"
-            "print(codes, sorted({'typing', 'dataclasses', 'inspect'} & set(sys.modules)))\n")
+            "print(codes, json_loaded,\n"
+            "      sorted({'typing', 'dataclasses', 'inspect'} & set(sys.modules)))\n")
         root = os.path.dirname(os.path.dirname(os.path.abspath(hubbardtree.__file__)))
         result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                                 text=True, env=dict(os.environ, PYTHONPATH=root))
         assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines() == ["[]", "[0, 0, 0] []"]
+        assert result.stdout.splitlines() == ["[]", "[0, 0, 0, 0] False []"]
 
     def test_row_pickle_round_trip(self):
         row = analyze_sequence("10110*")

@@ -9,6 +9,7 @@ line, which embeds ``__version__``.
 from __future__ import annotations
 
 import hashlib
+import random
 
 import pytest
 
@@ -64,6 +65,13 @@ STAR_FAMILY = {
     "1-100-200-256": "10404dcfff12aca8ea616d50cec1e5ee9a414f4d0fa4dcdb26839a2680fa7965",
 }
 
+# analyze --json digests of seeded random words of period n, whose triod runs
+# reach hundreds of symbols and stop at STARs
+LONG_WORDS = {
+    128: "86a6bc6b04877393904667a22c46ce4a417fdfc7a34869c55b1f08a6824a4c07",
+    256: "90db88c3478f0c5045d2dad7d1b8e558cd2e39be9b7c1ffe0cbabf10df881b56",
+}
+
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("ascii")).hexdigest()
@@ -94,3 +102,10 @@ def test_command_stdout(capsys, argv, exit_code, digest):
 def test_star_family_tree_hash(address):
     tree = build_tree(address_to_sequence(InternalAddress.parse(address)))
     assert tree.tree_hash() == STAR_FAMILY[address]
+
+
+@pytest.mark.parametrize("n", sorted(LONG_WORDS))
+def test_long_word_analyze_json(capsys, n):
+    word = "1" + format(random.Random(n).getrandbits(n - 2), f"0{n - 2}b") + "*"
+    code, out = _run(capsys, ["analyze", word, "--json"])
+    assert (code, _sha256(out)) == (0, LONG_WORDS[n])

@@ -437,6 +437,13 @@ class TestCanonicalText:
             tree = build_tree(seq)
             assert tree.to_json() == self.dumped(tree), str(seq)
 
+    def test_quoted_matches_the_json_encoder(self):
+        # every ASCII code point, alone and inside an id, then the empty
+        # string, a non-ASCII one in the BMP and an astral one
+        texts = [t for i in range(128) for t in (chr(i), f"z5{chr(i)}.1")]
+        for text in texts + ["", "\u00e9", "\U0001d537"]:
+            assert tree_module._quoted(text) == json.encoder.encode_basestring_ascii(text), text
+
     def test_ids_that_need_escaping(self):
         tree = build_tree(FIG2)
         rename = {"c2": 'c"2', "c3": "c\\3", "c4": "c\u00e94", "z5.1": "z\t\U0001d537"}
