@@ -168,8 +168,8 @@ class _Context:
 
 
 def _lay(layout: _Layout, itin: Itinerary) -> None:
-    """Append the region of ``itin`` to the layout, unchecked, and register
-    its states as ``itin`` and its shifts, except any laid out before."""
+    """Append the region of ``itin`` and its states' windows, unchecked, and
+    register its states as ``itin`` and its shifts, except any laid out before."""
     tape, canon, reach, starts, _, windows = layout
     (pre, per), at = itin, len(tape)
     size = len(pre) + len(per)
