@@ -48,6 +48,12 @@ class FailureDiagnostic(namedtuple("FailureDiagnostic", "period cond1 cond2 cond
     def to_dict(self) -> dict:
         return {**self._asdict(), "fails": self.fails}
 
+    def to_json(self) -> str:
+        """to_dict() as json.dumps(sort_keys=True) writes it compactly."""
+        flag = "false", "true"
+        return (f'{{"cond1":{flag[self.cond1]},"cond2":{flag[self.cond2]},'
+                f'"cond3":{flag[self.cond3]},"fails":{flag[self.fails]},"period":{self.period}}}')
+
 
 class BranchSpectrumEntry(
         namedtuple("BranchSpectrumEntry", "period arms kind characteristic_itinerary")):
@@ -123,6 +129,11 @@ def failing_periods(seq: KneadingSequence) -> list[int]:
 def diagnostics_record(seq: KneadingSequence) -> list[dict]:
     """Per-period failure diagnostics over the exhaustive scan range."""
     return [diag.to_dict() for diag in _diagnostics(seq)]
+
+
+def diagnostics_json(seq: KneadingSequence) -> str:
+    """diagnostics_record(seq) as compact sorted JSON, written without json."""
+    return f'[{",".join(diag.to_json() for diag in _diagnostics(seq))}]'
 
 
 def is_admissible(seq: KneadingSequence) -> bool:

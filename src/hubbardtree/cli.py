@@ -98,20 +98,15 @@ def _write(chunks, out: str | None) -> None:
 
 def cmd_analyze(args) -> int:
     seq = _parse_input(args.input)
-    from .admissibility import _diagnostics
+    from .admissibility import diagnostics_json
     from .atlas import analyze_sequence
 
     row = analyze_sequence(seq)
     if args.json:
         # the row's own text with "diagnostics" at its sorted place, right
-        # after "admissible", whose value (true or false) holds no comma; each
-        # diagnostic as json.dumps(sort_keys=True) writes its record
-        flag = "false", "true"
-        diagnostics = ",".join(
-            f'{{"cond1":{flag[d.cond1]},"cond2":{flag[d.cond2]},"cond3":{flag[d.cond3]},'
-            f'"fails":{flag[d.fails]},"period":{d.period}}}' for d in _diagnostics(seq))
+        # after "admissible", whose value (true or false) holds no comma
         head, tail = row.to_json().split(",", 1)
-        _write([f'{head},"diagnostics":[{diagnostics}],{tail}\n'], args.out)
+        _write([f'{head},"diagnostics":{diagnostics_json(seq)},{tail}\n'], args.out)
     else:
         _write([row.to_text()], args.out)
     return EXIT_OK

@@ -35,13 +35,12 @@ stream is one tape position.  Every stream on the tape follows the critical
 value after each STAR: an itinerary is checked once, when it is laid out,
 and its shifts, read from its region, follow the value as it does, so a
 query whose points are all on the tape needs no check.  A run of all-equal
-heads only records and shifts, so it is taken in one step: it ends at the
-first difference of the three windows (the top bit of their XOR) or at the
-first STAR, both read from what each state stored when it was laid out.
-States are then keyed only at events (exclude, chop, middle); the answer is
-unchanged, because a repeated state still closes whole periods of the state
-sequence, so the same streams stay untouched during it, and Itinerary
-normalization absorbs the later cycle start.
+heads only records and shifts, so it is taken in one step: the run ends at
+the first difference of the three windows (the top bit of their XOR) or at
+the first STAR.  States are then keyed only at events (exclude, chop,
+middle); the answer is unchanged, because a repeated state still closes
+whole periods of the state sequence, so the same streams stay untouched
+during it, and Itinerary normalization absorbs the later cycle start.
 
 The context also keeps a memo from each event state (a, b, c) to the
 outcome of the query that passed it, and a later query that reaches a
@@ -109,13 +108,13 @@ class Branch(namedtuple("Branch", "itinerary")):
 
 TriodResult = Middle | Branch
 _MIDDLES = Middle(1), Middle(2), Middle(3)  # most answers: one value each, made once
-_Layout = namedtuple("_Layout", "tape canon reach starts memo windows")
+_Layout = namedtuple("_Layout", "tape canon reach starts memo")
 
 
 class _Context:
     """The kernel's state for one sequence: a layout and its memo.
 
-    A layout is (tape, canon, reach, starts, memo, windows).  Every itinerary queried
+    A layout is (tape, canon, reach, starts, memo).  Every itinerary queried
     is laid end to end on the tape, the critical value first (at 0).  An
     itinerary's region is its preperiod and enough copies of its period that
     ``reach`` symbols can be sliced from each of its states (its first
@@ -126,9 +125,7 @@ class _Context:
     ``reach`` is at least three times the longest itinerary laid out:
     streams that agree over that many symbols agree forever (Fine and
     Wilf).  ``memo`` maps event states to outcomes (see the module
-    docstring).  ``windows`` holds each state's window, its ``reach`` symbols
-    as one integer, and the offset of their first STAR (``reach`` if none).
-    A longer itinerary starts a fresh layout, with an empty memo.
+    docstring).  A longer itinerary starts a fresh layout, with an empty memo.
     """
 
     def __init__(self, seq: KneadingSequence):
@@ -137,7 +134,7 @@ class _Context:
         self.layout = self._fresh(3 * len(self.value.period))
 
     def _fresh(self, reach: int) -> _Layout:
-        layout = _Layout(bytearray(), [], reach, {}, {}, [])
+        layout = _Layout(bytearray(), [], reach, {}, {})
         _lay(layout, self.value)
         return layout
 
@@ -168,9 +165,9 @@ class _Context:
 
 
 def _lay(layout: _Layout, itin: Itinerary) -> None:
-    """Append the region of ``itin`` and its states' windows, unchecked, and
-    register its states as ``itin`` and its shifts, except any laid out before."""
-    tape, canon, reach, starts, _, windows = layout
+    """Append the region of ``itin`` to the layout, unchecked, and register
+    its states as ``itin`` and its shifts, except any laid out before."""
+    tape, canon, reach, starts, _ = layout
     (pre, per), at = itin, len(tape)
     size = len(pre) + len(per)
     region = pre + per * ((size + reach) // len(per) + 1)
@@ -178,12 +175,9 @@ def _lay(layout: _Layout, itin: Itinerary) -> None:
     tape += region
     canon += range(at, at + size)
     canon += (cycle * (len(region) // len(per)))[:len(region) - size]
-    for i in range(size):
-        star = region.find(_STAR, i, i + reach) - i  # negative when there is none
-        windows.append((int.from_bytes(region[i:i + reach], "big"), star if star >= 0 else reach))
-        starts.setdefault(itin, at + i)
+    for state in range(at, at + size):
+        starts.setdefault(itin, state)
         itin = itin.shift()
-    windows += [None] * (len(region) - size)  # positions past the states are never read
 
 
 _context = functools.lru_cache(maxsize=1)(_Context)  # the context of the last sequence asked for
@@ -203,12 +197,12 @@ def classify_triod(
     """
     context = _context(seq)
     try:
-        tape, canon, reach, starts, memo, windows = context.layout
+        tape, canon, reach, starts, memo = context.layout
         a, b, c = starts[t1], starts[t2], starts[t3]
     except KeyError:
         if t1 == t2 or t1 == t3 or t2 == t3:  # distinct first, then lay checks STARs
             raise TriodError(_EQUAL) from None
-        tape, canon, reach, starts, memo, windows = context.lay((t1, t2, t3))
+        tape, canon, reach, starts, memo = context.lay((t1, t2, t3))
         a, b, c = starts[t1], starts[t2], starts[t3]
     if a == b or a == c or b == c:  # equal positions exactly when equal streams
         raise TriodError(_EQUAL)
@@ -226,15 +220,18 @@ def classify_triod(
         x, y, z = tape[a], tape[b], tape[c]
         if x == y == z != _STAR:
             # take the whole run: up to the first difference or STAR
-            first, star = windows[a]
-            diff = (first ^ windows[b][0]) | (first ^ windows[c][0])
+            window = tape[a:a + reach]
+            first = int.from_bytes(window, "big")
+            diff = ((first ^ int.from_bytes(tape[b:b + reach], "big"))
+                    | (first ^ int.from_bytes(tape[c:c + reach], "big")))
             run = reach - (diff.bit_length() + 7) // 8
-            if star < run:
+            star = window.find(_STAR, 0, run)
+            if star >= 0:
                 run = star
             elif run == reach:
                 outcome = TriodError, _UNSEPARATED
                 break
-            recorded += tape[a:a + run]
+            recorded += window[:run]
             a, b, c = canon[a + run], canon[b + run], canon[c + run]
             step += run
             continue

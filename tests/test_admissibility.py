@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from itertools import product
 
@@ -113,6 +114,18 @@ class TestFailureDiagnostics:
         record = fails_for_period(KneadingSequence.parse("10110*"), 3).to_dict()
         assert record == {"period": 3, "cond1": True, "cond2": True,
                           "cond3": True, "fails": True}
+
+    def test_json_text_is_the_dumped_record(self):
+        # every flag combination, then every scanned period of period <= 9
+        def dumped(value):
+            return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+        for flags in product((False, True), repeat=3):
+            diag = admissibility.FailureDiagnostic(7, *flags)
+            assert diag.to_json() == dumped(diag.to_dict()), flags
+        for seq in star_periodic_sequences(9):
+            assert (admissibility.diagnostics_json(seq)
+                    == dumped(admissibility.diagnostics_record(seq))), str(seq)
 
 
 class TestFailingPeriods:

@@ -15,19 +15,17 @@ import hubbardtree.tree as tree_module
 import hubbardtree.triods as triods
 from hubbardtree import (
     Branch,
-    InternalAddress,
     Itinerary,
     KneadingSequence,
     Middle,
     TriodError,
     UnrealizedPointError,
-    address_to_sequence,
     build_tree,
     classify_triod,
     closest_precritical_itinerary,
     critical_orbit_itinerary,
 )
-from hubbardtree.atlas import analyze_sequence, star_periodic_sequences
+from hubbardtree.atlas import star_periodic_sequences
 from hubbardtree.triods import TriodResult
 
 _STAR = ord("*")
@@ -420,45 +418,6 @@ class TestAgainstReference:
         for args, raw, expected in answers:
             triods._context.cache_clear()
             assert _kernel_outcome(args, raw) == expected, (args, raw)
-
-
-class TestWindows:
-    def test_every_state_reads_its_window_and_first_star(self, monkeypatch):
-        # every layout the period <= 10 atlas and the star family build,
-        # relayouts included: each state's stored integer and STAR offset
-        # are those of the reach symbols the tape holds from it
-        layouts = {}
-        lay = triods._lay
-
-        def recording(layout, itin):
-            layouts[id(layout)] = layout
-            lay(layout, itin)
-
-        monkeypatch.setattr(triods, "_lay", recording)
-        triods._context.cache_clear()
-        seqs = star_periodic_sequences(10)
-        for seq in seqs:
-            analyze_sequence(seq)
-            # the longest symbolic precritical point starts a fresh layout
-            zeta = max((closest_precritical_itinerary(seq, k) for k in range(1, seq.period + 1)),
-                       key=_size)
-            ends = critical_orbit_itinerary(seq, 0), critical_orbit_itinerary(seq, 1)
-            if zeta not in ends:
-                _outcome(classify_triod, (ends[0], zeta, ends[1], seq))
-        for address in ("1-256", "1-2-256", "1-100-200-256"):
-            analyze_sequence(address_to_sequence(InternalAddress.parse(address)))
-        triods._context.cache_clear()
-        assert len(layouts) > len(seqs) + 3  # one per sequence, and the relayouts
-        for tape, canon, reach, starts, _, windows in layouts.values():
-            states = set(canon)
-            assert states >= set(starts.values()) and len(windows) == len(tape)
-            for at, entry in enumerate(windows):
-                if at not in states:
-                    assert entry is None
-                    continue
-                star = tape.find(_STAR, at, at + reach)
-                assert entry == (int.from_bytes(tape[at:at + reach], "big"),
-                                 reach if star < 0 else star - at)
 
 
 class TestRelayout:
