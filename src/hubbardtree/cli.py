@@ -33,7 +33,7 @@ EXIT_INPUT = 1
 EXIT_CROSSCHECK = 2
 
 # the largest period accepted as input: cost grows with the tree, and a whole
-# `analyze 1-256` process takes ~0.25-0.3 s (Python 3.11, 2-vCPU Xeon VM)
+# `analyze 1-256` process takes ~0.35-0.45 s (Python 3.11, 2-vCPU Xeon VM)
 MAX_PERIOD = 256
 
 _SEQUENCE_TEXT = re.compile(r"[01]+\*", re.ASCII)
