@@ -5,6 +5,15 @@ Commands: analyze, tree, embed, enumerate, convert.  Exit codes: 0 success,
 request for a non-admissible sequence, or output that cannot be written),
 2 internal cross-check violation or any other internal error.  Input
 periods are bounded by MAX_PERIOD.
+
+The process enters through run(), which leaves through os._exit and so
+skips interpreter teardown: by then stdout and stderr are flushed, every
+--out file is closed by _write, and no thread runs, so teardown would only
+free memory that the exit frees anyway.  A --jobs run that started a pool
+keeps the normal exit, so that multiprocessing's exit hooks still run (under
+spawn and forkserver they unlink the pool's semaphores).  Callers that need
+teardown, such as a profiler or a coverage tool, call main(), which returns
+its exit code.
 """
 
 from __future__ import annotations
@@ -228,5 +237,34 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CROSSCHECK
 
 
+def run() -> None:
+    """Run main() on the process arguments and end the process with its code.
+
+    Stdout is flushed here, after every path out of main(), so no buffered
+    byte is lost.  A flush that fails, as on a closed pipe, is an output that
+    cannot be written: it is reported once (not again when main() has already
+    failed) and exits 1, and fd 1 is pointed at the null device so that no
+    later flush fails again.  The process then leaves through os._exit, which
+    skips teardown; after a --jobs pool it leaves through sys.exit instead, so
+    that multiprocessing's exit hooks run.
+    """
+    code = main()
+    try:
+        if sys.stdout is not None:  # None when fd 1 was closed at start, as main() reports
+            sys.stdout.flush()
+    except OSError as exc:
+        if code == EXIT_OK:
+            sys.stderr.write(f"error: {exc}\n")
+            code = EXIT_INPUT
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    if "multiprocessing" in sys.modules:
+        sys.exit(code)
+    try:
+        sys.stderr.flush()
+    except (AttributeError, OSError):  # stderr closed: nowhere left to report
+        pass
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -8,6 +8,7 @@ import os
 import pickle
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -418,6 +419,88 @@ class TestInputBound:
         assert code in (0, 1), (text, err.getvalue())
         if code == 1:
             assert out.getvalue() == ""
+
+
+def buffered_env() -> dict[str, str]:
+    """The environment without PYTHONUNBUFFERED, so the child's stdout is a
+    block-buffered pipe, as it is wherever the variable is not set."""
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+class TestProcessExit:
+    """`python -m hubbardtree.cli` ends through cli.run(), which flushes and
+    skips interpreter teardown; main() itself returns its code."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"],
+        ["analyze", "10110*"],
+        ["analyze", "10110*", "--json"],
+        ["enumerate", "--period", "10"],  # larger than one 8 KiB buffer
+        ["tree", "10110*", "--dot"],
+        ["embed", "1011010110*", "--all"],
+        ["convert", "1-2-4-5-6"],
+    ], ids=["help", "analyze", "analyze-json", "enumerate", "dot", "embed", "convert"])
+    def test_no_output_byte_is_lost(self, argv):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(argv) == 0
+        child = subprocess.run([sys.executable, "-m", "hubbardtree.cli", *argv],
+                               capture_output=True, env=buffered_env())
+        assert child.returncode == 0, child.stderr
+        assert child.stdout and child.stdout == out.getvalue().encode("ascii")
+
+    def test_usage_error_is_reported(self):
+        child = subprocess.run([sys.executable, "-m", "hubbardtree.cli", "enumerate"],
+                               capture_output=True, text=True, env=buffered_env())
+        assert child.returncode == 1
+        assert child.stderr.startswith("usage:") and child.stdout == ""
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "10110*", "--json"],
+        ["enumerate", "--period", "5"],
+        ["enumerate", "--period", "5", "--jobs", "2"],
+    ], ids=["analyze", "enumerate", "enumerate-jobs-2"])
+    def test_closed_pipe_is_one_output_error(self, argv, unbuffered):
+        env = buffered_env()
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            child = subprocess.run([sys.executable, "-m", "hubbardtree.cli", *argv],
+                                   stdout=write_end, stderr=subprocess.PIPE, text=True, env=env)
+        finally:
+            os.close(write_end)
+        assert child.returncode == 1
+        assert child.stderr == "error: [Errno 32] Broken pipe\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "--period", "8", "--exact", "--jobs", "2"],
+        ["analyze", "1011010110*", "--json"],
+    ], ids=["pool", "analyze"])
+    def test_no_process_outlives_the_run(self, argv):
+        child = subprocess.Popen([sys.executable, "-m", "hubbardtree.cli", *argv],
+                                 stdout=subprocess.DEVNULL, start_new_session=True)
+        assert child.wait(timeout=60) == 0
+        # signal 0 only probes the group; a helper that ends on its own once
+        # the run is gone (a fork server, say) gets a few seconds to do so
+        deadline = time.monotonic() + 5
+        with pytest.raises(ProcessLookupError):
+            while True:
+                os.killpg(child.pid, 0)
+                if time.monotonic() > deadline:
+                    break
+                time.sleep(0.05)
+
+    def test_installed_script_runs_the_process_entry(self):
+        tomllib = pytest.importorskip("tomllib")
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "pyproject.toml"), "rb") as handle:
+            scripts = tomllib.load(handle)["project"]["scripts"]
+        assert scripts == {"hubbardtree": "hubbardtree.cli:run"}
 
 
 class TestLibrarySide:
