@@ -7,7 +7,6 @@ geometrically and the two sides are cross-checked against each other.
 
 from __future__ import annotations
 
-import functools
 from collections import namedtuple
 from enum import Enum
 
@@ -16,7 +15,7 @@ from .sequences import (
     Itinerary,
     KneadingSequence,
     StructuralError,
-    _mismatch_distances,
+    _facts,
     first_mismatch,
 )
 
@@ -78,7 +77,7 @@ def fails_for_period(seq: KneadingSequence, m: int) -> FailureDiagnostic:
     if m < 1:
         raise ValueError("periods are positive")
     # first_mismatch(k) is k + (distances[k % n] or INFINITY): one table read per call
-    distances, n = _mismatch_distances(seq.word), len(seq.word)
+    distances, n = _facts(seq).distances, len(seq.word)
     k = 1
     while k < m:
         k += distances[k % n] or INFINITY
@@ -93,13 +92,15 @@ def fails_for_period(seq: KneadingSequence, m: int) -> FailureDiagnostic:
     return FailureDiagnostic(m, cond1, cond2, cond3)
 
 
-@functools.lru_cache(maxsize=1)
 def _diagnostics(seq: KneadingSequence) -> tuple[FailureDiagnostic, ...]:
     """The one pass over the candidate periods 1..period-1, exhaustive for a
-    star-periodic sequence, kept for the latest sequence asked for."""
-    if not seq.star_periodic:
-        raise ValueError("failing periods are scanned for star-periodic sequences")
-    return tuple(fails_for_period(seq, m) for m in range(1, seq.period))
+    star-periodic sequence, kept in the sequence's cached value."""
+    facts = _facts(seq)
+    if facts.diagnostics is None:
+        if not seq.star_periodic:
+            raise ValueError("failing periods are scanned for star-periodic sequences")
+        facts.diagnostics = tuple(fails_for_period(seq, m) for m in range(1, seq.period))
+    return facts.diagnostics
 
 
 def _arm_count(seq: KneadingSequence, diag: FailureDiagnostic) -> int:

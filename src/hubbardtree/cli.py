@@ -170,8 +170,13 @@ def cmd_convert(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):  # argparse's own drops a failed write, as to a closed pipe
+        (file or sys.stdout or sys.stderr).write(self.format_help())
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hubbardtree",
         description="Admissibility, tree reconstruction and planar embeddings "
                     "for star-periodic kneading sequences.")
@@ -218,18 +223,17 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "jobs", 1) < 1:
             parser.error(f"argument --jobs: must be at least 1, got {args.jobs}")
+        return args.func(args)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; keep 2 reserved for cross-checks
         return EXIT_INPUT if exc.code else EXIT_OK
-    try:
-        return args.func(args)
     except ParseError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
     except (CrossCheckError, StructuralError) as exc:
         sys.stderr.write(f"cross-check violation: {exc}\n")
         return EXIT_CROSSCHECK
-    except OSError as exc:  # an unwritable --out path or a closed pipe
+    except OSError as exc:  # an unwritable --out path or a closed pipe, --help too
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
     except Exception as exc:  # raised past the input boundary: a bug, not bad input

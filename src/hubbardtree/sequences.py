@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import math
 import re
+from _thread import allocate_lock  # threading's own import would cost a cold start
 from collections import namedtuple
 
 INFINITY = math.inf
@@ -100,20 +101,31 @@ def first_mismatch(seq: KneadingSequence, offset: int):
     """
     if offset < 1:
         raise ValueError("offset must be >= 1")
-    distance = _mismatch_distances(seq.word)[offset % len(seq.word)]
+    distance = _facts(seq).distances[offset % len(seq.word)]
     return INFINITY if distance is None else offset + distance
 
 
-@functools.lru_cache(maxsize=8)
-def _mismatch_distances(word: bytes) -> tuple[int | None, ...]:
-    """For each rotation r of ``word``, one plus the first index where the
-    rotation differs from ``word``, or None when they are equal."""
-    n, base = len(word), int.from_bytes(word, "big")
-    distances = []
-    for r in range(n):
-        diff = int.from_bytes(word[r:] + word[:r], "big") ^ base
-        distances.append(n + 1 - (diff.bit_length() + 7) // 8 if diff else None)
-    return tuple(distances)
+class _Facts:
+    """What is worked out once per sequence: ``distances``, made here (for
+    each rotation r of the word, one plus the first index where it differs
+    from the word, or None), and two slots their modules fill on first use,
+    ``diagnostics`` (admissibility) and the triod kernel's ``layout``."""
+
+    __slots__ = "sequence", "distances", "diagnostics", "lock", "layout"
+
+    def __init__(self, seq: KneadingSequence):
+        word = seq.word
+        n, base = len(word), int.from_bytes(word, "big")
+        distances = []
+        for r in range(n):
+            diff = int.from_bytes(word[r:] + word[:r], "big") ^ base
+            distances.append(n + 1 - (diff.bit_length() + 7) // 8 if diff else None)
+        self.sequence, self.distances = seq, tuple(distances)
+        self.diagnostics = self.layout = None
+        self.lock = allocate_lock()  # made here: two threads filling it could make two
+
+
+_facts = functools.lru_cache(maxsize=1)(_Facts)  # one slot: callers ask of one sequence at a time
 
 
 def mismatch_orbit(seq: KneadingSequence, k: int, *, stop_above: int | None = None) -> list[int]:
@@ -132,7 +144,7 @@ def orbit_contains(seq: KneadingSequence, start: int, target: int) -> bool:
     stops at the first entry not below ``target``."""
     if start < 1:
         raise ValueError("offset must be >= 1")
-    distances, n = _mismatch_distances(seq.word), len(seq.word)
+    distances, n = _facts(seq).distances, len(seq.word)
     while start < target and (distance := distances[start % n]) is not None:
         start += distance
     return start == target

@@ -29,12 +29,13 @@ point whose itinerary is the recorded symbols (preamble + cycle).  Two or
 more untouched indices can only happen when two input streams were equal,
 which violates the precondition.
 
-The streams are read from one kernel context per sequence (see _Context).
-Every itinerary queried is laid out once on the context's tape, so a
-stream is one tape position.  Every stream on the tape follows the critical
-value after each STAR: an itinerary is checked once, when it is laid out,
-and its shifts, read from its region, follow the value as it does, so a
-query whose points are all on the tape needs no check.  A run of all-equal
+The streams are read from the kernel's layout for the sequence, kept in the
+sequence's one cached value (see sequences._facts and _lay).  Every
+itinerary queried is laid out once on the layout's tape, so a stream is one
+tape position.  Every stream on the tape follows the critical value after
+each STAR: an itinerary is checked once, when it is laid out, and its
+shifts, read from its region, follow the value as it does, so a query
+whose points are all on the tape needs no check.  A run of all-equal
 heads only records and shifts, so it is taken in one step: the run ends at
 the first difference of the three windows (the top bit of their XOR) or at
 the first STAR.  States are then keyed only at events (exclude, chop,
@@ -42,7 +43,7 @@ middle); the answer is unchanged, because a repeated state still closes
 whole periods of the state sequence, so the same streams stay untouched
 during it, and Itinerary normalization absorbs the later cycle start.
 
-The context also keeps a memo from each event state (a, b, c) to the
+The layout also keeps a memo from each event state (a, b, c) to the
 outcome of the query that passed it, and a later query that reaches a
 memoized state stops there.  A state fixes its whole future, so the replay
 is exact once the outcome is read from where the later query stands (see
@@ -65,12 +66,10 @@ positions, starts afresh with it.
 
 from __future__ import annotations
 
-import functools
 import math
-from _thread import allocate_lock  # threading's own import would cost a cold start
 from collections import namedtuple
 
-from .sequences import Itinerary, KneadingSequence
+from .sequences import Itinerary, KneadingSequence, _Facts, _facts
 
 _STAR = ord("*")
 _EQUAL = "triod points must be pairwise distinct"
@@ -111,8 +110,9 @@ _MIDDLES = Middle(1), Middle(2), Middle(3)  # most answers: one value each, made
 _Layout = namedtuple("_Layout", "tape canon reach starts memo")
 
 
-class _Context:
-    """The kernel's state for one sequence: a layout and its memo.
+def _lay(facts: _Facts, points: tuple[Itinerary, ...] | list[Itinerary]) -> _Layout:
+    """The kernel's state for ``facts.sequence``, a layout and its memo, made
+    on first use, holding every one of the points, laying out the missing.
 
     A layout is (tape, canon, reach, starts, memo).  Every itinerary queried
     is laid end to end on the tape, the critical value first (at 0).  An
@@ -126,45 +126,32 @@ class _Context:
     streams that agree over that many symbols agree forever (Fine and
     Wilf).  ``memo`` maps event states to outcomes (see the module
     docstring).  A longer itinerary starts a fresh layout, with an empty memo.
+
+    A missing point is checked first: the ``reach`` symbols after the
+    first STAR of its stream must be the value's, else TriodError, and
+    the point is not laid out.  The first STAR decides for every STAR:
+    after it the stream is the value, whose STARs the value follows.
     """
-
-    def __init__(self, seq: KneadingSequence):
-        self.sequence, self.value = seq, Itinerary.periodic(seq.word)
-        self.lock = allocate_lock()
-        self.layout = self._fresh(3 * len(self.value.period))
-
-    def _fresh(self, reach: int) -> _Layout:
-        layout = _Layout(bytearray(), [], reach, {}, {})
-        _lay(layout, self.value)
+    with facts.lock:
+        seq, layout = facts.sequence, facts.layout
+        value = Itinerary.periodic(seq.word)
+        reach = 3 * max(len(value.period), *(len(p.preperiod) + len(p.period) for p in points))
+        if layout is None or reach > layout.reach:
+            layout = facts.layout = _Layout(bytearray(), [], reach, {}, {})
+            _append(layout, value)
+        tape, reach, starts = layout.tape, layout.reach, layout.starts
+        for p in points:
+            if p in starts:
+                continue
+            stream = p.prefix(len(p.preperiod) + len(p.period) + reach)
+            star = stream.find(_STAR)
+            if star >= 0 and stream[star + 1:star + 1 + reach] != tape[:reach]:
+                raise TriodError(f"itinerary {p} does not follow {seq} after its STAR")
+            _append(layout, p)
         return layout
 
-    def lay(self, points: tuple[Itinerary, ...] | list[Itinerary]) -> _Layout:
-        """The layout holding every one of the points, laying out the missing.
 
-        A missing point is checked first: the ``reach`` symbols after the
-        first STAR of its stream must be the value's, else TriodError, and
-        the point is not laid out.  The first STAR decides for every STAR:
-        after it the stream is the value, whose STARs the value follows.
-        """
-        with self.lock:
-            layout = self.layout
-            longest = max(len(p.preperiod) + len(p.period) for p in points)
-            if 3 * longest > layout.reach:
-                layout = self.layout = self._fresh(3 * longest)
-            tape, reach, starts = layout.tape, layout.reach, layout.starts
-            for p in points:
-                if p in starts:
-                    continue
-                stream = p.prefix(len(p.preperiod) + len(p.period) + reach)
-                star = stream.find(_STAR)
-                if star >= 0 and stream[star + 1:star + 1 + reach] != tape[:reach]:
-                    raise TriodError(
-                        f"itinerary {p} does not follow {self.sequence} after its STAR")
-                _lay(layout, p)
-            return layout
-
-
-def _lay(layout: _Layout, itin: Itinerary) -> None:
+def _append(layout: _Layout, itin: Itinerary) -> None:
     """Append the region of ``itin`` to the layout, unchecked, and register
     its states as ``itin`` and its shifts, except any laid out before."""
     tape, canon, reach, starts, _ = layout
@@ -180,9 +167,6 @@ def _lay(layout: _Layout, itin: Itinerary) -> None:
         itin = itin.shift()
 
 
-_context = functools.lru_cache(maxsize=1)(_Context)  # the context of the last sequence asked for
-
-
 def classify_triod(
     t1: Itinerary,
     t2: Itinerary,
@@ -195,15 +179,14 @@ def classify_triod(
     of the tree for ``seq``: equal streams, then a STAR not followed by the
     critical value, or a contradiction the iteration meets.
     """
-    context = _context(seq)
-    try:
-        tape, canon, reach, starts, memo = context.layout
-        a, b, c = starts[t1], starts[t2], starts[t3]
-    except KeyError:
-        if t1 == t2 or t1 == t3 or t2 == t3:  # distinct first, then lay checks STARs
-            raise TriodError(_EQUAL) from None
-        tape, canon, reach, starts, memo = context.lay((t1, t2, t3))
-        a, b, c = starts[t1], starts[t2], starts[t3]
+    facts = _facts(seq)
+    layout = facts.layout  # None until the first query on seq
+    if layout is None or not (t1 in layout.starts and t2 in layout.starts and t3 in layout.starts):
+        if t1 == t2 or t1 == t3 or t2 == t3:  # distinct first, then _lay checks STARs
+            raise TriodError(_EQUAL)
+        layout = _lay(facts, (t1, t2, t3))
+    tape, canon, reach, starts, memo = layout
+    a, b, c = starts[t1], starts[t2], starts[t3]
     if a == b or a == c or b == c:  # equal positions exactly when equal streams
         raise TriodError(_EQUAL)
 

@@ -26,6 +26,7 @@ from hubbardtree import (
     tame_arm_count,
 )
 from hubbardtree.atlas import star_periodic_sequences
+from hubbardtree.sequences import _facts
 
 
 def reference_evil_arm_count(seq, m):
@@ -246,7 +247,7 @@ class TestBranchSpectrum:
                 return _original(*args)
 
             monkeypatch.setattr(admissibility, name, counted)
-        admissibility._diagnostics.cache_clear()
+        _facts.cache_clear()
         seq = KneadingSequence.parse(text)
         assert len(branch_spectrum(seq)) == 1
         assert calls == {"fails_for_period": seq.period - 1}

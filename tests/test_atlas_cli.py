@@ -30,7 +30,7 @@ from hubbardtree.atlas import (
     star_periodic_sequences,
 )
 from hubbardtree.cli import MAX_PERIOD, main
-from hubbardtree.sequences import KneadingSequence, internal_address
+from hubbardtree.sequences import KneadingSequence, _facts, internal_address
 
 
 def run_cli(args, **env_extra):
@@ -116,7 +116,7 @@ class TestAnalyzeCommand:
             return original(seq, m)
 
         monkeypatch.setattr(admissibility, "fails_for_period", counted)
-        admissibility._diagnostics.cache_clear()
+        _facts.cache_clear()
         assert main(["analyze", "1011010110*", "--json"]) == 0
         assert len(json.loads(capsys.readouterr().out)["diagnostics"]) == 10
         assert sorted(calls) == list(range(1, 11))
@@ -462,7 +462,8 @@ class TestProcessExit:
         ["analyze", "10110*", "--json"],
         ["enumerate", "--period", "5"],
         ["enumerate", "--period", "5", "--jobs", "2"],
-    ], ids=["analyze", "enumerate", "enumerate-jobs-2"])
+        ["--help"],
+    ], ids=["analyze", "enumerate", "enumerate-jobs-2", "help"])
     def test_closed_pipe_is_one_output_error(self, argv, unbuffered):
         env = buffered_env()
         if unbuffered:

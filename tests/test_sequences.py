@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import importlib
 import pickle
-from itertools import product
+import pkgutil
+import random
+import sys
+from functools import partial
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import hubbardtree
 from hubbardtree import (
     INFINITY,
     InternalAddress,
@@ -16,6 +22,10 @@ from hubbardtree import (
     KneadingSequence,
     ParseError,
     address_to_sequence,
+    branch_spectrum,
+    build_tree,
+    classify_triod,
+    closest_precritical_itinerary,
     critical_orbit_itinerary,
     exact_period,
     first_mismatch,
@@ -25,7 +35,8 @@ from hubbardtree import (
     upper_lower,
 )
 from hubbardtree.atlas import star_periodic_sequences
-from hubbardtree.triods import TriodError, _context
+from hubbardtree.sequences import _facts
+from hubbardtree.triods import TriodError, _lay
 
 
 def oracle_first_mismatch(text: str, offset: int):
@@ -315,7 +326,7 @@ class TestItinerary:
                     itin = Itinerary(pre, per)
                     # the kernel checks an itinerary when it lays it out
                     try:
-                        _context(seq).lay([itin])
+                        _lay(_facts(seq), [itin])
                     except TriodError:
                         consistent = False
                     else:
@@ -415,3 +426,63 @@ class TestMismatchOrbitCombinatorics:
             assert first_mismatch(seq, k * m) is INFINITY
         elif rho_m > k * m:
             assert first_mismatch(seq, k * m) == rho_m
+
+
+def _triod(*args):
+    try:
+        return classify_triod(*args)
+    except TriodError as exc:
+        return type(exc), str(exc)
+
+
+class TestOnePerSequenceValue:
+    """What is worked out per sequence lives in one cached value, held for
+    the last sequence asked for."""
+
+    def test_one_cache_is_left(self):
+        for info in pkgutil.iter_modules(hubbardtree.__path__):
+            importlib.import_module(f"hubbardtree.{info.name}")
+        caches = {id(value): value  # by identity: a re-imported name counts once
+                  for name, module in list(sys.modules.items())
+                  if name == "hubbardtree" or name.startswith("hubbardtree.")
+                  for value in vars(module).values() if hasattr(value, "cache_clear")}
+        assert [value is _facts for value in caches.values()] == [True]
+
+        seq = KneadingSequence.parse("10110*")
+        build_tree(seq)
+        _facts.cache_clear()
+        facts = _facts(seq)
+        assert facts.diagnostics is None and facts.layout is None
+        build_tree(seq)  # the spectrum fills one slot, the triod kernel the other
+        assert _facts(seq) is facts
+        assert facts.diagnostics is not None and facts.layout is not None
+
+    def test_the_one_slot_is_evicted_whole(self):
+        # A, B, A, B against each one's cold answers; each sequence's longest
+        # symbolic precritical point forces a relayout, so the slot also
+        # holds a layout grown past its first when it is evicted
+        rng = random.Random(21)
+        questions = {}
+        for text in ("10110*", "1011010110*"):
+            seq = KneadingSequence.parse(text)
+            _facts.cache_clear()
+            vertices = [v.itinerary for v in build_tree(seq).vertices]
+            zeta = max((closest_precritical_itinerary(seq, k) for k in range(1, seq.period + 1)),
+                       key=lambda z: len(z.preperiod) + len(z.period))
+            assert len(zeta.preperiod) + len(zeta.period) > seq.period  # past any vertex
+            ends = critical_orbit_itinerary(seq, 0), critical_orbit_itinerary(seq, 1)
+            triples = rng.sample(list(combinations(vertices, 3)), 40)
+            triples += [(ends[0], zeta, ends[1]), (zeta, *ends)]
+            questions[text] = [partial(branch_spectrum, seq)]
+            questions[text] += [partial(first_mismatch, seq, k) for k in range(1, 2 * seq.period + 1)]
+            questions[text] += [partial(_triod, *triple, seq) for triple in triples]
+
+        cold = {}
+        for text, asked in questions.items():
+            cold[text] = []
+            for question in asked:
+                _facts.cache_clear()
+                cold[text].append(question())
+        _facts.cache_clear()
+        for text in ("10110*", "1011010110*", "10110*", "1011010110*"):
+            assert [question() for question in questions[text]] == cold[text], text

@@ -41,6 +41,7 @@ from hubbardtree import (
     verify_axioms,
 )
 from hubbardtree.atlas import star_periodic_sequences
+from hubbardtree.sequences import _facts
 
 FIG1 = "10110*"
 FIG2 = "1011010110*"
@@ -403,27 +404,27 @@ class TestOnce:
             return shift(itin)
 
         monkeypatch.setattr(Itinerary, "shift", counted)
-        triods._context.cache_clear()
+        _facts.cache_clear()
         vertices = sum(len(build_tree(seq).vertices)
                        for seq in star_periodic_sequences(9, exact=True))
         assert vertices == 1464
-        assert calls == {"marked_points": 1351, "_lay": 1518, "add": 312}
+        assert calls == {"marked_points": 1351, "_append": 1518, "add": 312}
         assert sum(calls.values()) == 3181
 
     def test_marked_points_take_one_region_per_orbit(self, monkeypatch):
         regions = []
-        lay = triods._lay
+        append = triods._append
 
         def counted(layout, itin):
             regions.append(itin)
-            lay(layout, itin)
+            append(layout, itin)
 
-        monkeypatch.setattr(triods, "_lay", counted)
+        monkeypatch.setattr(triods, "_append", counted)
         for seq in star_periodic_sequences(9):
             regions.clear()
-            triods._context.cache_clear()
-            triods._context(seq).lay(
-                [p.itinerary for p in marked_points(seq, branch_spectrum(seq))])
+            _facts.cache_clear()
+            triods._lay(
+                _facts(seq), [p.itinerary for p in marked_points(seq, branch_spectrum(seq))])
             assert len(regions) == 1 + len(branch_spectrum(seq)), (str(seq), regions)
 
 

@@ -1,5 +1,5 @@
 """Triod calculus: hand-iterated examples, symmetry, error paths, and the
-kernel context (its memo and its relayout) against a reference kernel."""
+kernel layout (its memo and its relayout) against a reference kernel."""
 
 from __future__ import annotations
 
@@ -26,6 +26,7 @@ from hubbardtree import (
     critical_orbit_itinerary,
 )
 from hubbardtree.atlas import star_periodic_sequences
+from hubbardtree.sequences import _facts
 from hubbardtree.triods import TriodResult
 
 _STAR = ord("*")
@@ -116,24 +117,24 @@ class TestErrors:
             with pytest.raises(TriodError, match="simultaneous"):
                 classify_triod(lying, honest, ONES, nu)
         finally:
-            triods._context.cache_clear()
+            _facts.cache_clear()
 
     def test_rejected_itinerary_stays_off_the_tape(self):
         # the stream is checked itself even when its shift is on a warm tape;
         # a rejected stream is not laid out, so asking again fails alike
         nu = KneadingSequence.parse("10110*")
-        triods._context.cache_clear()
+        _facts.cache_clear()
         build_tree(nu)
         c0, c1, c2 = (critical_orbit_itinerary(nu, k) for k in range(3))
         bad = Itinerary(b"*", c2.period)
-        starts = triods._context(nu).layout.starts
+        starts = _facts(nu).layout.starts
         assert bad.shift() == c2 and c2 in starts and bad not in starts
         for _ in range(2):
             with pytest.raises(TriodError) as excinfo:
                 classify_triod(bad, c0, c1, nu)
             assert type(excinfo.value) is TriodError
             assert str(excinfo.value) == f"itinerary {bad} does not follow {nu} after its STAR"
-            assert bad not in triods._context(nu).layout.starts
+            assert bad not in _facts(nu).layout.starts
 
 
 class TestAuxiliaryPoints:
@@ -266,20 +267,20 @@ def _outcome(kernel, args, **options):
 
 
 def _plant(seq: KneadingSequence, points) -> None:
-    """A cold context with the points laid out raw, unchecked: the only way
-    a stream that lies about what follows its STAR reaches the tape."""
-    triods._context.cache_clear()
-    context = triods._context(seq)
-    longest = max(map(_size, points))
-    if 3 * longest > context.layout.reach:
-        context.layout = context._fresh(3 * longest)
-    for p in points:
-        if p not in context.layout.starts:
-            triods._lay(context.layout, p)
+    """A cold value whose first layout holds the points laid out raw,
+    unchecked: the only way a stream that lies about what follows its STAR
+    reaches the tape."""
+    _facts.cache_clear()
+    value = Itinerary.periodic(seq.word)
+    reach = 3 * max(_size(value), *map(_size, points))
+    layout = _facts(seq).layout = triods._Layout(bytearray(), [], reach, {}, {})
+    for p in (value, *points):
+        if p not in layout.starts:
+            triods._append(layout, p)
 
 
 def _kernel_outcome(args, raw: bool):
-    """The kernel's outcome, on its points planted raw on a context cleared
+    """The kernel's outcome, on its points planted raw on a value cleared
     before and after when ``raw``."""
     if not raw:
         return _outcome(classify_triod, args)
@@ -287,7 +288,7 @@ def _kernel_outcome(args, raw: bool):
     try:
         return _outcome(classify_triod, args)
     finally:
-        triods._context.cache_clear()
+        _facts.cache_clear()
 
 
 def _differential_corpus() -> list[tuple[tuple, bool]]:
@@ -413,10 +414,10 @@ class TestAgainstReference:
         assert set(replays) == {"Middle", "Branch", "TriodError"}, replays
 
     def test_cold_contexts_agree(self):
-        # a fresh context per query: no memo, and the first layout of each
+        # a fresh value per query: no memo, and the first layout of each
         answers = random.Random(12).sample(_reference_answers(), 10_000)
         for args, raw, expected in answers:
-            triods._context.cache_clear()
+            _facts.cache_clear()
             assert _kernel_outcome(args, raw) == expected, (args, raw)
 
 
@@ -431,12 +432,12 @@ class TestRelayout:
             return kernel(*args)
 
         monkeypatch.setattr(tree_module, "classify_triod", recording)
-        triods._context.cache_clear()
+        _facts.cache_clear()
         build_tree(seq)
         expected = [_outcome(reference_classify_triod, args) for args in queries]
         assert [_outcome(classify_triod, args) for args in queries] == expected
-        context = triods._context(seq)
-        old = context.layout
+        facts = _facts(seq)
+        old = facts.layout
         assert old.memo, "the tree queries warm the memo"
 
         # a symbolic precritical point has up to 2n - 1 symbols, more than
@@ -448,14 +449,14 @@ class TestRelayout:
         assert all(end in old.starts for end in ends)
         for args in [(ends[0], zeta, ends[1], seq), (zeta, ends[0], ends[1], seq)]:
             assert _outcome(classify_triod, args) == _outcome(reference_classify_triod, args)
-        new = context.layout
+        new = facts.layout
         assert new is not old
         assert new.memo is not old.memo and len(new.memo) < len(old.memo)
 
         # replaying the tree queries lays their points out again, on the new
         # tape, and fills the new memo
         assert [_outcome(classify_triod, args) for args in queries] == expected
-        assert context.layout is new and set(new.starts) >= {p for q in queries for p in q[:3]}
+        assert facts.layout is new and set(new.starts) >= {p for q in queries for p in q[:3]}
 
 
 class TestRegisteredShifts:
@@ -465,14 +466,14 @@ class TestRegisteredShifts:
 
     @staticmethod
     def laid(seq: KneadingSequence, points: list[Itinerary], own: Itinerary | None = None):
-        """A cold context holding the points, with ``own`` moved to a region
-        of its own."""
-        triods._context.cache_clear()
-        layout = triods._context(seq).lay(points)
+        """A cold value's layout holding the points, with ``own`` moved to a
+        region of its own."""
+        _facts.cache_clear()
+        layout = triods._lay(_facts(seq), points)
         if own is not None:
             del layout.starts[own]
             at = len(layout.tape)
-            triods._lay(layout, own)
+            triods._append(layout, own)
             assert layout.starts[own] == at
         return layout
 
@@ -514,13 +515,13 @@ class TestRegisteredShifts:
             rotations = [Itinerary.periodic(word[k:] + word[:k]) for k in range(len(word))]
             ends = critical_orbit_itinerary(seq, 0), critical_orbit_itinerary(seq, 1)
             for r in rotations:
-                triods._context.cache_clear()
-                context = triods._context(seq)
+                _facts.cache_clear()
+                facts = _facts(seq)
                 with pytest.raises(TriodError, match="does not follow"):
-                    context.lay([r])
+                    triods._lay(facts, [r])
                 query = (r, *ends, seq)
                 assert _outcome(classify_triod, query)[1].startswith(f"itinerary {r} does not")
-                assert r not in context.layout.starts, (str(seq), r)
+                assert r not in facts.layout.starts, (str(seq), r)
 
     def test_a_relayout_registers_the_shifts_again(self):
         seq = KneadingSequence.parse("1011010110*")
@@ -535,6 +536,6 @@ class TestRegisteredShifts:
             if r != c1:
                 query = (r, zeta, c1, seq)
                 assert _outcome(classify_triod, query) == _outcome(reference_classify_triod, query), r
-        new = triods._context(seq).layout
+        new = _facts(seq).layout
         assert new is not old and new.reach == 3 * _size(zeta)
         self.assert_one_region_per_orbit(new, tree)
