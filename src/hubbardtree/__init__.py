@@ -12,19 +12,15 @@ __version__ = "0.1.0"
 # the re-exported names, by the module that defines each
 _EXPORTS = {
     "admissibility": """BranchSpectrumEntry FailureDiagnostic OrbitKind branch_spectrum
-        diagnostics_record evil_arm_count failing_periods fails_for_period is_admissible
-        tame_arm_count""",
-    "atlas": """AtlasRow analyze_sequence embedding_census enumerate_rows
-        star_periodic_sequences""",
+        failing_periods fails_for_period""",
+    "atlas": "AtlasRow analyze_sequence enumerate_rows star_periodic_sequences",
     "embedding": """EmbeddedTree EvilOrbitError count_embeddings enumerate_embeddings
         euler_phi generate_embedding verify_embedding""",
     "sequences": """INFINITY CrossCheckError InternalAddress Itinerary KneadingSequence
         ParseError StructuralError address_to_sequence critical_orbit_itinerary
-        exact_period first_mismatch internal_address mismatch_orbit orbit_contains
-        upper_lower""",
+        exact_period first_mismatch internal_address mismatch_orbit""",
     "tree": """HubbardTree MarkedPoint SpectrumMismatchError arm_permutation build_tree
-        characteristic_point classify_orbits closest_precritical_itinerary lies_between
-        marked_points verify_axioms""",
+        characteristic_point classify_orbits marked_points verify_axioms""",
     "triods": """Branch Middle TriodError TriodResult UnrealizedPointError
         classify_triod""",
 }

@@ -44,11 +44,8 @@ class FailureDiagnostic(namedtuple("FailureDiagnostic", "period cond1 cond2 cond
     def fails(self) -> bool:
         return self.cond1 and self.cond2 and self.cond3
 
-    def to_dict(self) -> dict:
-        return {**self._asdict(), "fails": self.fails}
-
     def to_json(self) -> str:
-        """to_dict() as json.dumps(sort_keys=True) writes it compactly."""
+        """The fields and ``fails`` as json.dumps(sort_keys=True) writes them compactly."""
         flag = "false", "true"
         return (f'{{"cond1":{flag[self.cond1]},"cond2":{flag[self.cond2]},'
                 f'"cond3":{flag[self.cond3]},"fails":{flag[self.fails]},"period":{self.period}}}')
@@ -127,40 +124,10 @@ def failing_periods(seq: KneadingSequence) -> list[int]:
     return [diag.period for diag in _diagnostics(seq) if diag.fails]
 
 
-def diagnostics_record(seq: KneadingSequence) -> list[dict]:
-    """Per-period failure diagnostics over the exhaustive scan range."""
-    return [diag.to_dict() for diag in _diagnostics(seq)]
-
-
 def diagnostics_json(seq: KneadingSequence) -> str:
-    """diagnostics_record(seq) as compact sorted JSON, written without json."""
+    """The per-period failure diagnostics over the exhaustive scan range, as
+    compact sorted JSON written without json."""
     return f'[{",".join(diag.to_json() for diag in _diagnostics(seq))}]'
-
-
-def is_admissible(seq: KneadingSequence) -> bool:
-    return not failing_periods(seq)
-
-
-def evil_arm_count(seq: KneadingSequence, m: int) -> int:
-    """Arm count at the evil branch point of a failing period."""
-    diag = fails_for_period(seq, m)
-    if not diag.fails:
-        raise ValueError(f"{m} is not a failing period of {seq}")
-    return _arm_count(seq, diag)
-
-
-def tame_arm_count(seq: KneadingSequence, m: int) -> int:
-    """Predicted arm count q(m) at an internal-address entry m.
-
-    q(m) >= 3 signals a tame branch point of exact period m; q(m) = 2 means
-    the periodic point at that scale is an ordinary arc point.
-    """
-    diag = fails_for_period(seq, m)
-    if diag.cond1:
-        raise ValueError(f"{m} is not an internal-address entry of {seq}")
-    if first_mismatch(seq, m) is INFINITY:
-        raise ValueError(f"first mismatch of {m} is infinite; no periodic point to count")
-    return _arm_count(seq, diag)
 
 
 def branch_spectrum(seq: KneadingSequence) -> list[BranchSpectrumEntry]:

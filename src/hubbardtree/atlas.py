@@ -14,7 +14,7 @@ from collections import namedtuple
 from collections.abc import Iterator
 from itertools import product as cartesian
 
-from .admissibility import OrbitKind, _diagnostics, diagnostics_record  # the last is re-exported
+from .admissibility import OrbitKind, _diagnostics
 from .embedding import count_embeddings
 # ENUMERATION_CAP and CrossCheckError are re-exported
 from .sequences import ENUMERATION_CAP, CrossCheckError, KneadingSequence, StructuralError
@@ -150,11 +150,3 @@ def enumerate_rows(max_period: int, *, exact: bool = False, jobs: int = 1) -> It
     from multiprocessing import Pool  # imported here so single-sequence commands skip it
     with Pool(jobs) as pool:
         yield from pool.imap(_row_json, texts, chunksize=8)
-
-
-def embedding_census(period: int) -> int:
-    """Total embeddings over every (admissible) sequence of the exact period."""
-    total = 0
-    for seq in star_periodic_sequences(period, exact=True):
-        total += analyze_sequence(seq).embeddings
-    return total

@@ -170,6 +170,18 @@ def cmd_convert(args) -> int:
     return EXIT_OK
 
 
+def _worker_count(text: str) -> int:
+    """--jobs as an int of at least 1, checked by the parser so that the
+    error comes with the enumerate command's own usage line."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
 class _Parser(argparse.ArgumentParser):
     def print_help(self, file=None):  # argparse's own drops a failed write, as to a closed pipe
         (file or sys.stdout or sys.stderr).write(self.format_help())
@@ -205,7 +217,8 @@ def _build_parser() -> argparse.ArgumentParser:
                       choices=range(2, ENUMERATION_CAP + 1),
                       help=f"period bound, 2..{ENUMERATION_CAP}")
     enum.add_argument("--exact", action="store_true", help="exactly this period only")
-    enum.add_argument("--jobs", type=int, default=1, help="worker processes, at least 1")
+    enum.add_argument("--jobs", type=_worker_count, default=1,
+                      help="worker processes, at least 1")
     enum.add_argument("--out", default=None)
     enum.set_defaults(func=cmd_enumerate)
 
@@ -221,8 +234,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "jobs", 1) < 1:
-            parser.error(f"argument --jobs: must be at least 1, got {args.jobs}")
         return args.func(args)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; keep 2 reserved for cross-checks

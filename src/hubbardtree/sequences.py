@@ -139,17 +139,6 @@ def mismatch_orbit(seq: KneadingSequence, k: int, *, stop_above: int | None = No
     return orbit
 
 
-def orbit_contains(seq: KneadingSequence, start: int, target: int) -> bool:
-    """Exact membership test ``target in mismatch_orbit(start)``: the walk
-    stops at the first entry not below ``target``."""
-    if start < 1:
-        raise ValueError("offset must be >= 1")
-    distances, n = _facts(seq).distances, len(seq.word)
-    while start < target and (distance := distances[start % n]) is not None:
-        start += distance
-    return start == target
-
-
 class InternalAddress(namedtuple("InternalAddress", "entries terminated")):
     """Strictly increasing recoding of a kneading sequence.
 
@@ -221,23 +210,6 @@ def exact_period(word: bytes) -> int:
         raise ValueError("exact_period is defined for nonempty words")
     n = len(word)
     return next(d for d in range(1, n + 1) if n % d == 0 and word[:d] * (n // d) == word)
-
-
-def upper_lower(seq: KneadingSequence) -> tuple[KneadingSequence, KneadingSequence]:
-    """The two STAR substitutions, 0 and 1 in the final slot, ordered (upper, lower).
-
-    Exactly one substitution has the period in its internal address; that one
-    is the upper sequence.
-    """
-    if not seq.star_periodic:
-        raise ValueError("upper/lower sequences exist only for star-periodic input")
-    n = seq.period
-    zero, one = KneadingSequence(seq.word[:-1] + b"0"), KneadingSequence(seq.word[:-1] + b"1")
-    zero_has = orbit_contains(zero, 1, n)
-    if zero_has == orbit_contains(one, 1, n):
-        raise StructuralError(
-            f"expected exactly one substitution of {seq} to contain {n} in its address")
-    return (zero, one) if zero_has else (one, zero)
 
 
 class Itinerary(namedtuple("Itinerary", "preperiod period")):

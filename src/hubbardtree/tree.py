@@ -16,7 +16,6 @@ are compared with the predicted spectrum in classify_orbits.
 
 from __future__ import annotations
 
-import hashlib
 from collections import Counter, deque, namedtuple
 from collections.abc import Sequence
 from types import MappingProxyType
@@ -28,13 +27,17 @@ from .sequences import (
     StructuralError,
     critical_orbit_itinerary,
 )
-from .triods import (
-    Branch,
-    Middle,
-    TriodError,
-    UnrealizedPointError,
-    classify_triod,
-)
+from .triods import Branch, Middle, TriodError, classify_triod
+
+# the builtin sha256 loads in ~0.5 ms, where hashlib loads OpenSSL in ~5 ms;
+# all three give the same digest
+try:
+    from _sha256 import sha256  # Python 3.10-3.11
+except ImportError:
+    try:
+        from _sha2 import sha256  # Python 3.12 and later
+    except ImportError:
+        from hashlib import sha256
 
 
 class SpectrumMismatchError(StructuralError):
@@ -200,18 +203,6 @@ class HubbardTree:
         result.sort(key=lambda orbit: (len(orbit), orbit[0]))
         return result
 
-    def to_record(self) -> dict:
-        return {
-            "sequence": str(self.sequence),
-            "vertices": [
-                {"id": v.id, "role": v.role_text(), "itinerary": str(v.itinerary)}
-                for v in self.vertices
-            ],
-            "edges": [list(edge) for edge in self.edges],
-            "dynamics": dict(sorted(self.dynamics.items())),
-            "critical": self.critical,
-        }
-
     def to_dot(self) -> str:
         lines = [f'graph "{self.sequence}" {{']
         for v in self.vertices:
@@ -222,8 +213,10 @@ class HubbardTree:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        """The canonical text of to_record(), written directly: for str ids, the
-        bytes of json.dumps(record, sort_keys=True, separators=(",", ":"))."""
+        """The tree's canonical record, written directly: for str ids, the bytes of
+        json.dumps(record, sort_keys=True, separators=(",", ":")) over its critical
+        id, its dynamics, its edges as pairs, its sequence and its vertices, each
+        as {id, itinerary, role}."""
         q = _quoted
         ids = {v.id: q(v.id) for v in self.vertices}  # each id quoted once
         vertices = ",".join(f'{{"id":{ids[v.id]},"itinerary":{q(str(v.itinerary))},"role":'
@@ -234,7 +227,7 @@ class HubbardTree:
                 f'"sequence":{q(str(self.sequence))},"vertices":[{vertices}]}}')
 
     def tree_hash(self) -> str:
-        return hashlib.sha256(self.to_json().encode("ascii")).hexdigest()
+        return sha256(self.to_json().encode("ascii")).hexdigest()
 
 
 def _quoted(text: str) -> str:
@@ -354,36 +347,6 @@ def build_tree(seq: KneadingSequence | str) -> HubbardTree:
             f"vertex/edge relation for {seq} is not a tree "
             f"({len(tree.vertices)} vertices, {len(tree.edges)} edges)")
     return tree
-
-
-def closest_precritical_itinerary(seq: KneadingSequence, step: int) -> Itinerary:
-    """Itinerary of the unique precritical point of the given step that is
-    not shielded from the critical value by an earlier one.
-
-    Step 1 gives the critical point, step = period the critical value.  The
-    itinerary is symbolic: for steps off the internal address no point of the
-    tree need realize it (see lies_between).
-    """
-    if not 1 <= step <= seq.period:
-        raise ValueError("step must lie between 1 and the period")
-    star_first = seq.word[-1:] + seq.word[:-1]
-    return Itinerary(seq.word[: step - 1], star_first)
-
-
-def lies_between(seq: KneadingSequence, point: Itinerary, a: Itinerary, b: Itinerary) -> bool:
-    """Whether the point with the middle itinerary lies strictly between the
-    other two in the tree for ``seq``.
-
-    Tolerates symbolic itineraries that no tree point realizes: a query that
-    reaches a contradiction cannot have its point between the ends, so it
-    counts as False.
-    """
-    if point == a or point == b:
-        return False
-    try:
-        return classify_triod(a, point, b, seq) == Middle(2)
-    except UnrealizedPointError:
-        return False
 
 
 def characteristic_point(tree: HubbardTree, orbit: Sequence[str]) -> str:

@@ -30,11 +30,10 @@ from hubbardtree import (
     fails_for_period,
     failing_periods,
     first_mismatch,
-    is_admissible,
-    upper_lower,
     verify_embedding,
 )
-from hubbardtree.atlas import embedding_census, star_periodic_sequences
+from hubbardtree.atlas import star_periodic_sequences
+from reference import embedding_census, is_admissible, upper_lower
 
 
 @contextmanager

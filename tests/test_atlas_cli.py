@@ -24,13 +24,12 @@ from hubbardtree import (
 )
 from hubbardtree.atlas import (
     atlas_header,
-    diagnostics_record,
-    embedding_census,
     enumerate_rows,
     star_periodic_sequences,
 )
 from hubbardtree.cli import MAX_PERIOD, main
 from hubbardtree.sequences import KneadingSequence, _facts, internal_address
+from reference import diagnostics_record, embedding_census
 
 
 def run_cli(args, **env_extra):
@@ -224,6 +223,7 @@ class TestEnumerateCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--jobs: must be at least 1" in captured.err
+        assert captured.err.startswith("usage: hubbardtree enumerate")
 
     def test_usage_errors_are_input_errors(self):
         assert run_cli(["enumerate"]).returncode == 1
@@ -658,27 +658,31 @@ class TestRowText:
 
 
 # every name `hubbardtree` re-exported when its __init__ imported all six
-# layers, by the module that defines it
+# layers, by the module that defines it, less the helpers that only tests
+# call, which live in tests/reference.py (MOVED)
 REEXPORTS = {
     "admissibility": ["BranchSpectrumEntry", "FailureDiagnostic", "OrbitKind",
-                      "branch_spectrum", "diagnostics_record", "evil_arm_count",
-                      "failing_periods", "fails_for_period", "is_admissible",
-                      "tame_arm_count"],
-    "atlas": ["AtlasRow", "analyze_sequence", "embedding_census", "enumerate_rows",
-              "star_periodic_sequences"],
+                      "branch_spectrum", "failing_periods", "fails_for_period"],
+    "atlas": ["AtlasRow", "analyze_sequence", "enumerate_rows", "star_periodic_sequences"],
     "embedding": ["EmbeddedTree", "EvilOrbitError", "count_embeddings",
                   "enumerate_embeddings", "euler_phi", "generate_embedding",
                   "verify_embedding"],
     "sequences": ["CrossCheckError", "INFINITY", "InternalAddress", "Itinerary",
                   "KneadingSequence", "ParseError", "StructuralError", "address_to_sequence",
                   "critical_orbit_itinerary", "exact_period", "first_mismatch",
-                  "internal_address", "mismatch_orbit", "orbit_contains", "upper_lower"],
+                  "internal_address", "mismatch_orbit"],
     "tree": ["HubbardTree", "MarkedPoint", "SpectrumMismatchError", "arm_permutation",
-             "build_tree", "characteristic_point", "classify_orbits",
-             "closest_precritical_itinerary", "lies_between", "marked_points",
+             "build_tree", "characteristic_point", "classify_orbits", "marked_points",
              "verify_axioms"],
     "triods": ["Branch", "Middle", "TriodError", "TriodResult", "UnrealizedPointError",
                "classify_triod"],
+}
+MOVED = {
+    "admissibility": ["diagnostics_record", "evil_arm_count", "is_admissible",
+                      "tame_arm_count"],
+    "atlas": ["embedding_census"],
+    "sequences": ["orbit_contains", "upper_lower"],
+    "tree": ["closest_precritical_itinerary", "lies_between"],
 }
 LAYERS = {f"hubbardtree.{layer}" for layer in REEXPORTS}
 BASE = {"hubbardtree", "hubbardtree.cli", "hubbardtree.sequences"}
@@ -720,6 +724,30 @@ class TestColdStart:
     def test_analyze_loads_every_layer(self, argv):
         assert loaded_after(argv) == BASE | LAYERS
 
+    # without site, as a clean interpreter starts: with a builtin sha256 the
+    # tree hash loads neither hashlib nor OpenSSL's _hashlib
+    @pytest.mark.parametrize("argv", [["analyze", "10110*", "--json"],
+                                      ["enumerate", "--period", "3"]],
+                             ids=["analyze-json", "enumerate"])
+    def test_hashing_loads_no_openssl(self, argv):
+        import importlib.util
+
+        import hubbardtree
+
+        code = ("import sys, hubbardtree.cli as cli\n"
+                "cli.main(sys.argv[1:])\n"
+                "print(' '.join(sys.modules))\n")
+        src = os.path.dirname(os.path.dirname(hubbardtree.__file__))
+        result = subprocess.run([sys.executable, "-S", "-c", code, *argv], capture_output=True,
+                                text=True, env=dict(os.environ, PYTHONPATH=src))
+        assert result.returncode == 0, result.stderr
+        loaded = set(result.stdout.splitlines()[-1].split())
+        builtin = {name for name in ("_sha256", "_sha2") if importlib.util.find_spec(name)}
+        if builtin:
+            assert builtin & loaded and not loaded & {"hashlib", "_hashlib"}, loaded
+        else:
+            assert "hashlib" in loaded
+
     def test_reexports_resolve_to_their_definitions(self):
         import importlib
 
@@ -730,6 +758,18 @@ class TestColdStart:
             assert getattr(hubbardtree, layer) is module
             for name in names:
                 assert getattr(hubbardtree, name) is getattr(module, name), name
+
+    def test_test_only_helpers_left_the_package(self):
+        import importlib
+
+        import hubbardtree
+
+        for layer, names in MOVED.items():
+            module = importlib.import_module(f"hubbardtree.{layer}")
+            for name in names:
+                assert not hasattr(hubbardtree, name) and not hasattr(module, name), name
+        assert not hasattr(hubbardtree.HubbardTree, "to_record")
+        assert not hasattr(hubbardtree.FailureDiagnostic, "to_dict")
 
     def test_moved_names_stay_in_the_atlas(self):
         import hubbardtree

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import hashlib
 import random
+import subprocess
+import sys
 
 import pytest
 
-from hubbardtree import InternalAddress, address_to_sequence, build_tree
+from hubbardtree import InternalAddress, address_to_sequence, build_tree, star_periodic_sequences
 from hubbardtree.cli import main
 
 ATLAS_ROWS = {
@@ -109,3 +111,26 @@ def test_long_word_analyze_json(capsys, n):
     word = "1" + format(random.Random(n).getrandbits(n - 2), f"0{n - 2}b") + "*"
     code, out = _run(capsys, ["analyze", word, "--json"])
     assert (code, _sha256(out)) == (0, LONG_WORDS[n])
+
+
+def test_tree_hash_is_the_sha256_of_the_tree_text():
+    # hashlib's sha256 as the oracle, whichever module the tree hashes with
+    for seq in star_periodic_sequences(8):
+        tree = build_tree(seq)
+        assert tree.tree_hash() == _sha256(tree.to_json()), str(seq)
+
+
+def test_hashlib_fallback_writes_the_same_bytes():
+    # a fresh interpreter that cannot import either builtin sha256 module
+    # hashes through hashlib, as on a Python built without them
+    code = ("import sys\n"
+            "sys.modules['_sha256'] = sys.modules['_sha2'] = None\n"
+            "import hashlib, hubbardtree.cli as cli, hubbardtree.tree as tree\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "sys.stderr.write(f'fallback={tree.sha256 is hashlib.sha256}')\n"
+            "sys.exit(code)\n")
+    argv = ["analyze", "1011010110*", "--json"]
+    result = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True)
+    assert result.stderr == b"fallback=True"
+    digest = next(digest for args, _, digest in COMMANDS if args == argv)
+    assert (result.returncode, hashlib.sha256(result.stdout).hexdigest()) == (0, digest)

@@ -25,18 +25,16 @@ from hubbardtree import (
     branch_spectrum,
     build_tree,
     classify_triod,
-    closest_precritical_itinerary,
     critical_orbit_itinerary,
     exact_period,
     first_mismatch,
     internal_address,
     mismatch_orbit,
-    orbit_contains,
-    upper_lower,
 )
 from hubbardtree.atlas import star_periodic_sequences
 from hubbardtree.sequences import _facts
 from hubbardtree.triods import TriodError, _lay
+from reference import closest_precritical_itinerary, orbit_contains, upper_lower
 
 
 def oracle_first_mismatch(text: str, offset: int):
@@ -224,8 +222,9 @@ class TestUpperLower:
     def test_upper_contains_period_in_address(self):
         for seq in star_periodic_sequences(9):
             up, low = upper_lower(seq)
-            assert orbit_contains(up, 1, seq.period)
-            assert not orbit_contains(low, 1, seq.period)
+            # read on the package's own walk, not on orbit_contains, which upper_lower uses
+            assert seq.period in mismatch_orbit(up, 1, stop_above=seq.period)
+            assert seq.period not in mismatch_orbit(low, 1, stop_above=seq.period)
 
     def test_upper_has_exact_period(self):
         for seq in star_periodic_sequences(10):
@@ -240,7 +239,7 @@ class TestUpperLower:
             m = max(e for e in internal_address(seq).entries if e < n)
             _, low = upper_lower(seq)
             assert first_mismatch(low, m) > n
-            assert not orbit_contains(low, 1, n)
+            assert n not in mismatch_orbit(low, 1, stop_above=n)
 
 
 class TestItinerary:

@@ -22,12 +22,12 @@ from hubbardtree import (
     UnrealizedPointError,
     build_tree,
     classify_triod,
-    closest_precritical_itinerary,
     critical_orbit_itinerary,
 )
 from hubbardtree.atlas import star_periodic_sequences
 from hubbardtree.sequences import _facts
 from hubbardtree.triods import TriodResult
+from reference import closest_precritical_itinerary
 
 _STAR = ord("*")
 ONES = Itinerary.periodic(b"1")
