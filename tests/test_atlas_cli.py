@@ -759,7 +759,7 @@ class TestColdStart:
             for name in names:
                 assert getattr(hubbardtree, name) is getattr(module, name), name
 
-    def test_test_only_helpers_left_the_package(self):
+    def test_moved_helpers_left_the_package(self):
         import importlib
 
         import hubbardtree
