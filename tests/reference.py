@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from hubbardtree import (
     INFINITY,
+    FailureDiagnostic,
+    HubbardTree,
     Itinerary,
     KneadingSequence,
     Middle,
@@ -86,7 +88,7 @@ def lies_between(seq: KneadingSequence, point: Itinerary, a: Itinerary, b: Itine
         return False
 
 
-def tree_record(tree) -> dict:
+def tree_record(tree: HubbardTree) -> dict:
     """The tree as a plain record, whose json.dumps(sort_keys=True) with
     compact separators is the text HubbardTree.to_json writes."""
     return {
@@ -101,7 +103,7 @@ def tree_record(tree) -> dict:
     }
 
 
-def diagnostic_dict(diag) -> dict:
+def diagnostic_dict(diag: FailureDiagnostic) -> dict:
     """A FailureDiagnostic as the object its to_json text holds."""
     return {**diag._asdict(), "fails": diag.fails}
 
