@@ -18,10 +18,10 @@ its exit code.
 
 from __future__ import annotations
 
-import argparse
 import os
 import re
 import sys
+from types import SimpleNamespace
 
 # only the sequence layer loads with the parser: each command imports the
 # layers it runs, so convert, --help and rejected input load no tree
@@ -170,74 +170,146 @@ def cmd_convert(args) -> int:
     return EXIT_OK
 
 
-def _worker_count(text: str) -> int:
-    """--jobs as an int of at least 1, checked by the parser so that the
-    error comes with the enumerate command's own usage line."""
-    try:
-        jobs = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
-    return jobs
+_INPUT = "sequence like 10110* or address like 1-2-4-5-6"
+_OUT = (" PATH", None, "write to file instead of stdout")
+_REQUIRED = object()
+
+# command -> (help, help of its one positional `input` or None if it has none,
+# {option: (metavar as it follows the option, "" for a flag, default, help)});
+# each option's value is the attribute named after it
+_COMMANDS = {
+    "analyze": ("full pipeline report for one sequence", _INPUT,
+                {"--json": ("", False, "machine-readable row"), "--out": _OUT}),
+    "tree": ("serialize the tree", _INPUT,
+             {"--dot": ("", False, "graph-description text output"), "--out": _OUT}),
+    "embed": ("emit planar embeddings", _INPUT,
+              {"--all": ("", False, "every embedding, not just one"), "--out": _OUT}),
+    "enumerate": ("atlas of all sequences up to a period bound", None, {
+        "--period": (" N", _REQUIRED, f"period bound, 2..{ENUMERATION_CAP}"),
+        "--exact": ("", False, "exactly this period only"),
+        "--jobs": (" N", 1, "worker processes, at least 1"), "--out": _OUT}),
+    "convert": ("sequence <-> internal address", _INPUT, {"--out": _OUT}),
+}
+
+_SIGNED = re.compile(r"-?[0-9]+")
 
 
-class _Parser(argparse.ArgumentParser):
-    def print_help(self, file=None):  # argparse's own drops a failed write, as to a closed pipe
-        (file or sys.stdout or sys.stderr).write(self.format_help())
+class _UsageError(Exception):
+    """An argument list outside the grammar: (command or None, message)."""
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="hubbardtree",
-        description="Admissibility, tree reconstruction and planar embeddings "
-                    "for star-periodic kneading sequences.")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _is_option(arg: str) -> bool:
+    return arg[:1] == "-" and arg != "-" and not _SIGNED.fullmatch(arg)
 
-    analyze = sub.add_parser("analyze", help="full pipeline report for one sequence")
-    analyze.add_argument("input", help="sequence like 10110* or address like 1-2-4-5-6")
-    analyze.add_argument("--json", action="store_true", help="machine-readable row")
-    analyze.add_argument("--out", default=None, help="write to file instead of stdout")
-    analyze.set_defaults(func=cmd_analyze)
 
-    tree = sub.add_parser("tree", help="serialize the tree")
-    tree.add_argument("input")
-    tree.add_argument("--dot", action="store_true", help="graph-description text output")
-    tree.add_argument("--out", default=None)
-    tree.set_defaults(func=cmd_tree)
+def _value(option: str, text: str):
+    """An option's value as its command reads it: --period in 2..ENUMERATION_CAP
+    and --jobs at least 1, both in ASCII digits, any other option's text as
+    given.  Raises ValueError, whose message follows the option's name."""
+    grammar = {"--period": _DIGITS, "--jobs": _SIGNED}.get(option)
+    if grammar is None:
+        return text
+    if not grammar.fullmatch(text):
+        raise ValueError(f"invalid int value: {_excerpt(text)}")
+    number = int(text)  # past int()'s digit limit, its own ValueError
+    if option == "--jobs" and number < 1:
+        raise ValueError(f"must be at least 1, got {number}")
+    if option == "--period" and not 2 <= number <= ENUMERATION_CAP:
+        raise ValueError(f"must be in 2..{ENUMERATION_CAP}, got {number}")
+    return number
 
-    embed = sub.add_parser("embed", help="emit planar embeddings")
-    embed.add_argument("input")
-    embed.add_argument("--all", action="store_true", help="every embedding, not just one")
-    embed.add_argument("--out", default=None)
-    embed.set_defaults(func=cmd_embed)
 
-    enum = sub.add_parser("enumerate", help="atlas of all sequences up to a period bound")
-    enum.add_argument("--period", type=int, required=True, metavar="N",
-                      choices=range(2, ENUMERATION_CAP + 1),
-                      help=f"period bound, 2..{ENUMERATION_CAP}")
-    enum.add_argument("--exact", action="store_true", help="exactly this period only")
-    enum.add_argument("--jobs", type=_worker_count, default=1,
-                      help="worker processes, at least 1")
-    enum.add_argument("--out", default=None)
-    enum.set_defaults(func=cmd_enumerate)
+def _parse(argv: list[str]):
+    """Read argv as ``(command, args)``, the command's name and its arguments
+    as attributes, or as ``(command, None)`` when -h or --help is anywhere
+    before a lone ``--`` (command None for the top level).  An option is named
+    in full or by a unique prefix, and takes its value as the next argument or
+    after ``=``; ``--`` ends the options.  Raises _UsageError."""
+    words = argv[:argv.index("--")] if "--" in argv else argv
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    if any(arg == "-h" or len(arg) > 2 and "--help".startswith(arg) for arg in words):
+        return command, None
+    if command is None:
+        raise _UsageError(None, f"argument command: invalid choice: {_excerpt(argv[0])}"
+                          if argv else "the following arguments are required: command")
+    _, input_help, options = _COMMANDS[command]
+    values = {name: default for name, (_, default, _) in options.items()}
+    if input_help:
+        values["input"] = _REQUIRED
+    positional, args = [], iter(argv[1:])
+    for arg in args:
+        if arg == "--":
+            positional += args
+            break
+        if not _is_option(arg):
+            positional.append(arg)
+            continue
+        name, eq, value = arg.partition("=")
+        found = [name] if name in options else [
+            option for option in options if name[:2] == "--" and option.startswith(name)]
+        if len(found) != 1:  # no two options of a command share a prefix but "--"
+            raise _UsageError(command, f"unrecognized arguments: {_excerpt(arg)}")
+        name = found[0]
+        if not options[name][0]:  # a flag
+            if eq:
+                raise _UsageError(command, f"argument {name}: ignored explicit argument "
+                                  f"{_excerpt(value)}")
+            values[name] = True
+            continue
+        if not eq:
+            value = next(args, None)
+            if value is None or _is_option(value):
+                raise _UsageError(command, f"argument {name}: expected one argument")
+        try:
+            values[name] = _value(name, value)
+        except ValueError as exc:
+            raise _UsageError(command, f"argument {name}: {exc}") from None
+    if input_help and positional:
+        values["input"] = positional.pop(0)
+    if positional:
+        raise _UsageError(command, "unrecognized arguments: "
+                          + " ".join(map(_excerpt, positional)))
+    missing = [name for name, value in values.items() if value is _REQUIRED]
+    if missing:
+        raise _UsageError(command, f"the following arguments are required: {', '.join(missing)}")
+    return command, SimpleNamespace(**{name.lstrip("-"): v for name, v in values.items()})
 
-    convert = sub.add_parser("convert", help="sequence <-> internal address")
-    convert.add_argument("input")
-    convert.add_argument("--out", default=None)
-    convert.set_defaults(func=cmd_convert)
 
-    return parser
+def _usage(command: str | None) -> str:
+    if command is None:
+        return f"usage: hubbardtree [-h] {{{','.join(_COMMANDS)}}} ...\n"
+    _, input_help, options = _COMMANDS[command]
+    words = [name + metavar if default is _REQUIRED else f"[{name}{metavar}]"
+             for name, (metavar, default, _) in options.items()]
+    return f"usage: hubbardtree {command} [-h] {' '.join(words)}{' input' * bool(input_help)}\n"
+
+
+def _help(command: str | None) -> str:
+    if command is None:
+        intro = ("Admissibility, tree reconstruction and planar embeddings for "
+                 "star-periodic\nkneading sequences.\n")
+        rows = [(name, entry[0]) for name, entry in _COMMANDS.items()]
+    else:
+        summary, input_help, options = _COMMANDS[command]
+        intro, rows = summary + "\n", [("input", input_help)] * bool(input_help)
+        rows += [(name + metavar, text) for name, (metavar, _, text) in options.items()]
+    rows.append(("-h, --help", "show this help and exit"))
+    return f"{_usage(command)}\n{intro}\n" + "".join(f"  {a:<12} {b}\n" for a, b in rows)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors; keep 2 reserved for cross-checks
-        return EXIT_INPUT if exc.code else EXIT_OK
+        command, args = _parse(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            sys.stdout.write(_help(command))
+            return EXIT_OK
+        # looked up on each call, so that a handler wrapped after import runs
+        return globals()[f"cmd_{command}"](args)
+    except _UsageError as exc:
+        command, message = exc.args
+        prog = f"hubbardtree {command}" if command else "hubbardtree"
+        sys.stderr.write(f"{_usage(command)}{prog}: error: {message}\n")
+        return EXIT_INPUT
     except ParseError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT

@@ -225,10 +225,71 @@ class TestEnumerateCommand:
         assert "--jobs: must be at least 1" in captured.err
         assert captured.err.startswith("usage: hubbardtree enumerate")
 
-    def test_usage_errors_are_input_errors(self):
-        assert run_cli(["enumerate"]).returncode == 1
-        assert run_cli(["no-such-command"]).returncode == 1
-        assert run_cli(["--help"]).returncode == 0
+    # the grammar, one row per way out of it; each is the command's usage line
+    # and one error line on stderr, with nothing on stdout
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["no-such-command"],
+        ["analyze", "10110*", "--bogus"],
+        ["analyze", "10110*", "11*"],
+        ["analyze"],
+        ["enumerate"],
+        ["enumerate", "--period"],
+        ["enumerate", "--period", "x"],
+        ["enumerate", "--period", "3", "--jobs", "x"],
+        ["analyze", "10110*", "--json=1"],
+        ["analyze", "10110*", "--=1"],
+        ["tree", "10110*", "--dx"],
+    ], ids=["no-command", "unknown-command", "unknown-flag", "second-positional",
+            "missing-positional", "missing-period", "period-without-value", "period-x",
+            "jobs-x", "flag-with-value", "ambiguous-prefix", "unknown-prefix"])
+    def test_usage_errors_are_input_errors(self, capsys, argv):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: hubbardtree")
+        assert [line for line in captured.err.splitlines() if "error:" in line] == \
+            captured.err.splitlines()[-1:]
+
+    # ASCII digits only, where int() would also read 10, 3, 3, 3 and 10
+    @pytest.mark.parametrize("argv,option", [
+        (["enumerate", "--period", "1_0", "--exact"], "--period"),
+        (["enumerate", "--period", "\uff13"], "--period"),
+        (["enumerate", "--period", "+3"], "--period"),
+        (["enumerate", "--period", " 3"], "--period"),
+        (["enumerate", "--period", "3", "--jobs", "1_0"], "--jobs"),
+    ], ids=["period-underscore", "period-full-width", "period-plus", "period-space",
+            "jobs-underscore"])
+    def test_integers_outside_the_grammar_are_usage_errors(self, capsys, argv, option):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: hubbardtree enumerate")
+        assert f"argument {option}: invalid int value" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["analyze", "-h"], ["tree", "-h"], ["embed", "-h"], ["enumerate", "-h"],
+        ["convert", "-h"], ["enumerate", "--period", "x", "--he"],
+        ["analyze", "10110*", "--bogus", "--help"],
+    ], ids=["top", "analyze", "tree", "embed", "enumerate", "convert", "after-a-bad-value",
+            "after-a-bad-flag"])
+    def test_help_prints_the_usage_line(self, capsys, argv):
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        command = "" if argv[0] == "--help" else argv[0] + " "
+        assert captured.err == ""
+        assert captured.out.startswith(f"usage: hubbardtree {command}[-h] ")
+
+    @pytest.mark.parametrize("spelled,full", [
+        (["convert", "10110*", "--out={}"], ["convert", "10110*", "--out", "{}"]),
+        (["enumerate", "--per", "3", "--out", "{}"], ["enumerate", "--period", "3", "--out", "{}"]),
+    ], ids=["out-equals", "period-prefix"])
+    def test_option_spellings_write_the_same_bytes(self, tmp_path, spelled, full):
+        paths = [str(tmp_path / "spelled"), str(tmp_path / "full")]
+        for argv, path in zip((spelled, full), paths):
+            assert main([arg.format(path) for arg in argv]) == 0
+        with open(paths[0], "rb") as first, open(paths[1], "rb") as second:
+            assert first.read() == second.read()
 
     def test_failed_run_leaves_no_output_file(self, tmp_path, monkeypatch):
         import hubbardtree.atlas as atlas
@@ -700,6 +761,21 @@ def loaded_after(argv: list[str]) -> set[str]:
     return set(result.stdout.splitlines()[-1].split())
 
 
+def modules_without_site(argv: list[str]) -> set[str]:
+    """Every module an interpreter started with -S (no site, so no .pth
+    imports) holds after running ``main(argv)``."""
+    import hubbardtree
+
+    code = ("import sys, hubbardtree.cli as cli\n"
+            "cli.main(sys.argv[1:])\n"
+            "print(' '.join(sys.modules))\n")
+    src = os.path.dirname(os.path.dirname(hubbardtree.__file__))
+    result = subprocess.run([sys.executable, "-S", "-c", code, *argv], capture_output=True,
+                            text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert result.returncode == 0, result.stderr
+    return set(result.stdout.splitlines()[-1].split())
+
+
 class TestColdStart:
     # only package modules are compared: what `site` loads differs between environments
     @pytest.mark.parametrize("argv", [[], ["convert", "10110*"], ["convert", "1-2-4-5-6"],
@@ -732,21 +808,21 @@ class TestColdStart:
     def test_hashing_loads_no_openssl(self, argv):
         import importlib.util
 
-        import hubbardtree
-
-        code = ("import sys, hubbardtree.cli as cli\n"
-                "cli.main(sys.argv[1:])\n"
-                "print(' '.join(sys.modules))\n")
-        src = os.path.dirname(os.path.dirname(hubbardtree.__file__))
-        result = subprocess.run([sys.executable, "-S", "-c", code, *argv], capture_output=True,
-                                text=True, env=dict(os.environ, PYTHONPATH=src))
-        assert result.returncode == 0, result.stderr
-        loaded = set(result.stdout.splitlines()[-1].split())
+        loaded = modules_without_site(argv)
         builtin = {name for name in ("_sha256", "_sha2") if importlib.util.find_spec(name)}
         if builtin:
             assert builtin & loaded and not loaded & {"hashlib", "_hashlib"}, loaded
         else:
             assert "hashlib" in loaded
+
+    # the command line is read without argparse, so no process loads it, nor
+    # the gettext and locale modules that its messages need
+    @pytest.mark.parametrize("argv", [["analyze", "10110*", "--json"],
+                                      ["enumerate", "--period", "3"], ["convert", "10110*"],
+                                      ["--help"], ["enumerate", "--period", "x"]],
+                             ids=["analyze-json", "enumerate", "convert", "help", "usage-error"])
+    def test_parser_loads_no_argparse(self, argv):
+        assert not modules_without_site(argv) & {"argparse", "gettext", "locale"}
 
     def test_reexports_resolve_to_their_definitions(self):
         import importlib
