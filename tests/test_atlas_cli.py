@@ -238,7 +238,7 @@ class TestEnumerateCommand:
         ["enumerate", "--period", "x"],
         ["enumerate", "--period", "3", "--jobs", "x"],
         ["analyze", "10110*", "--json=1"],
-        ["analyze", "10110*", "--=1"],
+        ["analyze", "10110*", "--=1"],  # "--" is a prefix of every option
         ["tree", "10110*", "--dx"],
     ], ids=["no-command", "unknown-command", "unknown-flag", "second-positional",
             "missing-positional", "missing-period", "period-without-value", "period-x",
