@@ -227,29 +227,29 @@ class TestEnumerateCommand:
 
     # the grammar, one row per way out of it; each is the command's usage line
     # and one error line on stderr, with nothing on stdout
-    @pytest.mark.parametrize("argv", [
-        [],
+    USAGE_ERRORS = [
+        [],  # no command
         ["no-such-command"],
-        ["analyze", "10110*", "--bogus"],
-        ["analyze", "10110*", "11*"],
-        ["analyze"],
-        ["enumerate"],
-        ["enumerate", "--period"],
+        ["analyze", "10110*", "--bogus"],  # unknown flag
+        ["analyze", "10110*", "11*"],  # a second positional
+        ["analyze"],  # no positional
+        ["enumerate"],  # no --period
+        ["enumerate", "--period"],  # no value
         ["enumerate", "--period", "x"],
         ["enumerate", "--period", "3", "--jobs", "x"],
-        ["analyze", "10110*", "--json=1"],
-        ["analyze", "10110*", "--=1"],  # "--" is a prefix of every option
-        ["tree", "10110*", "--dx"],
-    ], ids=["no-command", "unknown-command", "unknown-flag", "second-positional",
-            "missing-positional", "missing-period", "period-without-value", "period-x",
-            "jobs-x", "flag-with-value", "ambiguous-prefix", "unknown-prefix"])
-    def test_usage_errors_are_input_errors(self, capsys, argv):
-        assert main(argv) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("usage: hubbardtree")
-        assert [line for line in captured.err.splitlines() if "error:" in line] == \
-            captured.err.splitlines()[-1:]
+        ["analyze", "10110*", "--json=1"],  # a flag with a value
+        ["analyze", "10110*", "--=1"],  # ambiguous: "--" is a prefix of every option
+        ["tree", "10110*", "--dx"],  # unknown prefix
+    ]
+
+    def test_usage_errors_are_input_errors(self, capsys):
+        for argv in self.USAGE_ERRORS:
+            assert main(argv) == 1, argv
+            captured = capsys.readouterr()
+            assert captured.out == "", argv
+            assert captured.err.startswith("usage: hubbardtree"), argv
+            lines = captured.err.splitlines()
+            assert [line for line in lines if "error:" in line] == lines[-1:], argv
 
     # ASCII digits only, where int() would also read 10, 3, 3, 3 and 10
     @pytest.mark.parametrize("argv,option", [
