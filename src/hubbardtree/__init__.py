@@ -14,8 +14,9 @@ _EXPORTS = {
     "admissibility": """BranchSpectrumEntry FailureDiagnostic OrbitKind branch_spectrum
         failing_periods fails_for_period""",
     "atlas": "AtlasRow analyze_sequence enumerate_rows star_periodic_sequences",
-    "embedding": """EmbeddedTree EvilOrbitError count_embeddings enumerate_embeddings
-        euler_phi generate_embedding verify_embedding""",
+    "embedding": "count_embeddings euler_phi",
+    "planar": """EmbeddedTree EvilOrbitError enumerate_embeddings generate_embedding
+        verify_embedding""",
     "sequences": """INFINITY CrossCheckError InternalAddress Itinerary KneadingSequence
         ParseError StructuralError address_to_sequence critical_orbit_itinerary
         exact_period first_mismatch internal_address mismatch_orbit""",

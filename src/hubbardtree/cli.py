@@ -135,7 +135,7 @@ def cmd_tree(args) -> int:
 
 def cmd_embed(args) -> int:
     seq = _parse_input(args.input)
-    from .embedding import EvilOrbitError, _embeddings
+    from .planar import EvilOrbitError, _embeddings
     from .tree import build_tree
 
     tree = build_tree(seq)
@@ -204,7 +204,7 @@ def _is_option(arg: str) -> bool:
 
 def _value(option: str, text: str):
     """An option's value as its command reads it: --period in 2..ENUMERATION_CAP
-    and --jobs at least 1, both in ASCII digits, any other option's text as
+    and --jobs at least 1, both in ASCII digits, any other option's value as
     given.  Raises ValueError, whose message follows the option's name."""
     grammar = {"--period": _DIGITS, "--jobs": _SIGNED}.get(option)
     if grammar is None:
@@ -233,9 +233,7 @@ def _parse(argv: list[str]):
         raise _UsageError(None, f"argument command: invalid choice: {_excerpt(argv[0])}"
                           if argv else "the following arguments are required: command")
     _, input_help, options = _COMMANDS[command]
-    values = {name: default for name, (_, default, _) in options.items()}
-    if input_help:
-        values["input"] = _REQUIRED
+    values = {name: spec[1] for name, spec in options.items()}
     positional, args = [], iter(argv[1:])
     for arg in args:
         if arg == "--":
@@ -245,27 +243,26 @@ def _parse(argv: list[str]):
             positional.append(arg)
             continue
         name, eq, value = arg.partition("=")
-        found = [name] if name in options else [
-            option for option in options if name[:2] == "--" and option.startswith(name)]
-        if len(found) != 1:  # no two options of a command share a prefix but "--"
+        # no option of a command is a prefix of another, so a full name is a
+        # unique prefix; "--" is a prefix of them all
+        found = [option for option in options if name[:2] == "--" and option.startswith(name)]
+        if len(found) != 1:
             raise _UsageError(command, f"unrecognized arguments: {_excerpt(arg)}")
         name = found[0]
-        if not options[name][0]:  # a flag
-            if eq:
-                raise _UsageError(command, f"argument {name}: ignored explicit argument "
-                                  f"{_excerpt(value)}")
-            values[name] = True
-            continue
-        if not eq:
-            value = next(args, None)
-            if value is None or _is_option(value):
-                raise _UsageError(command, f"argument {name}: expected one argument")
         try:
+            if not options[name][0]:  # a flag
+                if eq:
+                    raise ValueError(f"ignored explicit argument {_excerpt(value)}")
+                value = True
+            elif not eq:
+                value = next(args, None)
+                if value is None or _is_option(value):
+                    raise ValueError("expected one argument")
             values[name] = _value(name, value)
         except ValueError as exc:
             raise _UsageError(command, f"argument {name}: {exc}") from None
-    if input_help and positional:
-        values["input"] = positional.pop(0)
+    if input_help:
+        values["input"] = positional.pop(0) if positional else _REQUIRED
     if positional:
         raise _UsageError(command, "unrecognized arguments: "
                           + " ".join(map(_excerpt, positional)))

@@ -167,16 +167,16 @@ class TestEmbedCommand:
     ])
     def test_orbits_are_classified_once(self, monkeypatch, capsys, argv, count):
         import hubbardtree.cli as cli
-        import hubbardtree.embedding as embedding
+        import hubbardtree.planar as planar
 
         calls = []
-        original = embedding.classify_orbits
+        original = planar.classify_orbits
 
         def counted(tree):
             calls.append(tree)
             return original(tree)
 
-        for module in (cli, embedding):
+        for module in (cli, planar):
             monkeypatch.setattr(module, "classify_orbits", counted, raising=False)
         assert main(argv) == 0
         assert len(capsys.readouterr().out.splitlines()) == count
@@ -279,6 +279,14 @@ class TestEnumerateCommand:
         command = "" if argv[0] == "--help" else argv[0] + " "
         assert captured.err == ""
         assert captured.out.startswith(f"usage: hubbardtree {command}[-h] ")
+
+    def test_no_option_is_a_prefix_of_another(self):
+        # the parser reads a full option name as a prefix, which must be unique
+        from hubbardtree.cli import _COMMANDS
+
+        for command, (_, _, options) in _COMMANDS.items():
+            assert not [(a, b) for a in options for b in options
+                        if a != b and b.startswith(a)], command
 
     @pytest.mark.parametrize("spelled,full", [
         (["convert", "10110*", "--out={}"], ["convert", "10110*", "--out", "{}"]),
@@ -719,15 +727,16 @@ class TestRowText:
 
 
 # every name `hubbardtree` re-exported when its __init__ imported all six
-# layers, by the module that defines it, less the helpers that only tests
+# layers, by the module that defines it today (the embedding generation
+# moved from `embedding` to `planar`), less the helpers that only tests
 # call, which live in tests/reference.py (MOVED)
 REEXPORTS = {
     "admissibility": ["BranchSpectrumEntry", "FailureDiagnostic", "OrbitKind",
                       "branch_spectrum", "failing_periods", "fails_for_period"],
     "atlas": ["AtlasRow", "analyze_sequence", "enumerate_rows", "star_periodic_sequences"],
-    "embedding": ["EmbeddedTree", "EvilOrbitError", "count_embeddings",
-                  "enumerate_embeddings", "euler_phi", "generate_embedding",
-                  "verify_embedding"],
+    "embedding": ["count_embeddings", "euler_phi"],
+    "planar": ["EmbeddedTree", "EvilOrbitError", "enumerate_embeddings",
+               "generate_embedding", "verify_embedding"],
     "sequences": ["CrossCheckError", "INFINITY", "InternalAddress", "Itinerary",
                   "KneadingSequence", "ParseError", "StructuralError", "address_to_sequence",
                   "critical_orbit_itinerary", "exact_period", "first_mismatch",
@@ -745,8 +754,12 @@ MOVED = {
     "sequences": ["orbit_contains", "upper_lower"],
     "tree": ["closest_precritical_itinerary", "lies_between"],
 }
-LAYERS = {f"hubbardtree.{layer}" for layer in REEXPORTS}
+# the layers that perfbench/layer_trace.py traces, less `cli` (in BASE):
+# analyze and enumerate load exactly these, and no other package module
+LAYERS = {f"hubbardtree.{layer}" for layer in
+          ("sequences", "admissibility", "triods", "tree", "embedding", "atlas")}
 BASE = {"hubbardtree", "hubbardtree.cli", "hubbardtree.sequences"}
+ATLAS, EMBEDDING, PLANAR = "hubbardtree.atlas", "hubbardtree.embedding", "hubbardtree.planar"
 
 
 def loaded_after(argv: list[str]) -> set[str]:
@@ -784,21 +797,35 @@ class TestColdStart:
     def test_sequence_commands_load_no_tree(self, argv):
         assert loaded_after(argv) == BASE
 
-    @pytest.mark.parametrize("argv,skipped", [
-        (["tree", "10110*"], {"atlas", "embedding"}),
-        (["tree", "10110*", "--dot"], {"atlas", "embedding"}),
-        (["embed", "1011010110*"], {"atlas"}),
+    # only embed loads the embedding generation, and tree neither it nor the count
+    @pytest.mark.parametrize("argv,expected", [
+        (["tree", "10110*"], BASE | LAYERS - {ATLAS, EMBEDDING}),
+        (["tree", "10110*", "--dot"], BASE | LAYERS - {ATLAS, EMBEDDING}),
+        (["embed", "1011010110*"], BASE | LAYERS - {ATLAS} | {PLANAR}),
     ], ids=["tree", "dot", "embed"])
-    def test_tree_commands_skip_the_atlas(self, argv, skipped):
-        assert loaded_after(argv) == BASE | LAYERS - {f"hubbardtree.{m}" for m in skipped}
+    def test_tree_commands_skip_the_atlas(self, argv, expected):
+        assert loaded_after(argv) == expected
 
     # the benchmark traces analyze --json and enumerate, and its tracer
-    # needs every layer module loaded
+    # needs every layer module loaded; neither loads the embedding generation
     @pytest.mark.parametrize("argv", [["analyze", "10110*"], ["analyze", "10110*", "--json"],
                                       ["enumerate", "--period", "3"]],
                              ids=["analyze", "analyze-json", "enumerate"])
     def test_analyze_loads_every_layer(self, argv):
         assert loaded_after(argv) == BASE | LAYERS
+
+    def test_layers_are_the_traced_ones(self):
+        # read, not imported: the tracer is the benchmark's, outside the package
+        import ast
+
+        path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                            "perfbench", "layer_trace.py")
+        with open(path, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        traced = next(ast.literal_eval(node.value) for node in tree.body
+                      if isinstance(node, ast.Assign)
+                      and [getattr(t, "id", None) for t in node.targets] == ["LAYERS"])
+        assert LAYERS == {f"hubbardtree.{layer}" for layer in traced} - {"hubbardtree.cli"}
 
     # without site, as a clean interpreter starts: with a builtin sha256 the
     # tree hash loads neither hashlib nor OpenSSL's _hashlib

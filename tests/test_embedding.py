@@ -18,7 +18,8 @@ from hubbardtree import (
     verify_embedding,
 )
 from hubbardtree.atlas import star_periodic_sequences
-from hubbardtree.embedding import _embed, coprime_rotations
+from hubbardtree.embedding import coprime_rotations
+from hubbardtree.planar import _embed
 from hubbardtree.sequences import StructuralError
 
 FIG1 = "10110*"
