@@ -727,9 +727,8 @@ class TestRowText:
 
 
 # every name `hubbardtree` re-exported when its __init__ imported all six
-# layers, by the module that defines it today (the embedding generation
-# moved from `embedding` to `planar`), less the helpers that only tests
-# call, which live in tests/reference.py (MOVED)
+# layers, by the module that defines it now, less the helpers that only
+# tests call, which live in tests/reference.py (MOVED)
 REEXPORTS = {
     "admissibility": ["BranchSpectrumEntry", "FailureDiagnostic", "OrbitKind",
                       "branch_spectrum", "failing_periods", "fails_for_period"],
