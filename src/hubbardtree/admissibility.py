@@ -79,7 +79,11 @@ def fails_for_period(seq: KneadingSequence, m: int) -> FailureDiagnostic:
     while k < m:
         k += distances[k % n] or INFINITY
     cond1 = k != m
-    cond2 = all(k + (distances[k % n] or INFINITY) <= m for k in range(1, m) if m % k == 0)
+    cond2 = True
+    for k in range(1, m // 2 + 1):  # the proper divisors of m
+        if m % k == 0 and k + (distances[k % n] or INFINITY) > m:
+            cond2 = False
+            break
     distance, cond3 = distances[m % n], False
     if distance is not None:
         k = _reduced_residue(m + distance, m)

@@ -203,13 +203,13 @@ def address_to_sequence(addr: InternalAddress) -> KneadingSequence:
 
 
 def exact_period(word: bytes) -> int:
-    """Smallest divisor d of len(word) with shift-d invariance (no STARs)."""
+    """Smallest divisor d of len(word) with shift-d invariance (no STARs):
+    the least rotation that fixes the word, which divides its length."""
     if b"*" in word:
         raise ValueError("exact_period is defined for STAR-free words")
     if not word:
         raise ValueError("exact_period is defined for nonempty words")
-    n = len(word)
-    return next(d for d in range(1, n + 1) if n % d == 0 and word[:d] * (n // d) == word)
+    return (word + word).find(word, 1)
 
 
 class Itinerary(namedtuple("Itinerary", "preperiod period")):

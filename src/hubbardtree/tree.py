@@ -16,7 +16,7 @@ are compared with the predicted spectrum in classify_orbits.
 
 from __future__ import annotations
 
-from collections import Counter, deque, namedtuple
+from collections import deque, namedtuple
 from collections.abc import Sequence
 from types import MappingProxyType
 
@@ -178,19 +178,26 @@ class HubbardTree:
         return arms
 
     def branch_cycles(self) -> tuple[tuple[str, ...], ...]:
-        """Dynamics cycles through a branch vertex, each from its least id, once per tree.
-
-        The images of the vertex set shrink until they are exactly the
-        periodic vertices, which _cycles splits into cycles.
-        """
+        """Dynamics cycles through a branch vertex, each from its least id and
+        in order of it, once per tree: one walk of the dynamics visits each
+        vertex once, and it closes a new cycle when it meets its own path."""
         if self._cycle_cache is None:
-            periodic = set(self.dynamics)
-            while (image := {self.dynamics[v] for v in periodic}) != periodic:
-                periodic = image
-            branch = set(self.branch_vertices())
-            self._cycle_cache = tuple(
-                tuple(cycle) for cycle in _cycles({v: self.dynamics[v] for v in periodic})
-                if not branch.isdisjoint(cycle))
+            dynamics, branch = self.dynamics, set(self.branch_vertices())
+            walk_of: dict[str, int] = {}  # each visited vertex's walk
+            cycles = []
+            for walk, v in enumerate(dynamics):
+                path = []
+                while v not in walk_of:
+                    walk_of[v] = walk
+                    path.append(v)
+                    v = dynamics[v]
+                if walk_of[v] == walk:
+                    cycle = path[path.index(v):]
+                    if not branch.isdisjoint(cycle):
+                        at = cycle.index(min(cycle))
+                        cycles.append(tuple(cycle[at:] + cycle[:at]))
+            cycles.sort()
+            self._cycle_cache = tuple(cycles)
         return self._cycle_cache
 
     def periodic_branch_orbits(self) -> list[list[str]]:
@@ -219,10 +226,10 @@ class HubbardTree:
         as {id, itinerary, role}."""
         q = _quoted
         ids = {v.id: q(v.id) for v in self.vertices}  # each id quoted once
-        vertices = ",".join(f'{{"id":{ids[v.id]},"itinerary":{q(str(v.itinerary))},"role":'
-                            f'{q(v.role_text())}}}' for v in self.vertices)
-        dynamics = ",".join(f"{ids[a]}:{ids[b]}" for a, b in sorted(self.dynamics.items()))
-        edges = ",".join(f"[{ids[a]},{ids[b]}]" for a, b in self.edges)
+        vertices = ",".join([f'{{"id":{ids[v.id]},"itinerary":{q(str(v.itinerary))},"role":'
+                             f'{q(v.role_text())}}}' for v in self.vertices])
+        dynamics = ",".join([f"{ids[a]}:{ids[b]}" for a, b in sorted(self.dynamics.items())])
+        edges = ",".join([f"[{ids[a]},{ids[b]}]" for a, b in self.edges])
         return (f'{{"critical":{ids[self.critical]},"dynamics":{{{dynamics}}},"edges":[{edges}],'
                 f'"sequence":{q(str(self.sequence))},"vertices":[{vertices}]}}')
 
@@ -463,8 +470,8 @@ def verify_axioms(tree: HubbardTree) -> dict[str, bool]:
     shape = checks["tree_shape"] = tree.is_tree()
 
     critical_ids = {f"c{k}" for k in range(n)}
-    checks["endpoints_on_critical_orbit"] = all(
-        vid in critical_ids for vid, near in adjacency.items() if len(near) == 1)
+    checks["endpoints_on_critical_orbit"] = critical_ids.issuperset(
+        [vid for vid, near in adjacency.items() if len(near) == 1])
     checks["critical_value_is_endpoint"] = len(adjacency["c1"]) == 1
     checks["critical_point_degree"] = len(adjacency[tree.critical]) <= 2
 
@@ -489,8 +496,9 @@ def verify_axioms(tree: HubbardTree) -> dict[str, bool]:
                 x = parent[x]
     checks["edge_images_cover_tree"] = shape and len(covered) == len(tree.edges)
 
-    checks["at_most_two_preimages"] = all(
-        count <= 2 for count in Counter(tree.dynamics.values()).values())
+    # sorted, a value with three preimages equals the one two places after it
+    images = sorted(tree.dynamics.values())
+    checks["at_most_two_preimages"] = not any(map(str.__eq__, images, images[2:]))
 
     # canonical itineraries are equal exactly when their streams are
     checks["expansivity"] = (

@@ -36,12 +36,15 @@ tape position.  Every stream on the tape follows the critical value after
 each STAR: an itinerary is checked once, when it is laid out, and its
 shifts, read from its region, follow the value as it does, so a query
 whose points are all on the tape needs no check.  A run of all-equal
-heads only records and shifts, so it is taken in one step: the run ends at
-the first difference of the three windows (the top bit of their XOR) or at
-the first STAR.  States are then keyed only at events (exclude, chop,
-middle); the answer is unchanged, because a repeated state still closes
-whole periods of the state sequence, so the same streams stay untouched
-during it, and Itinerary normalization absorbs the later cycle start.
+heads only records and shifts.  Most runs are one symbol long (65% on the
+period-9 atlas): when the next three symbols are not all equal, or one is
+a STAR, the head is recorded and each stream steps one state along canon.
+A longer run is taken in one step: it ends at the first difference of the
+three ``reach``-symbol windows (the top bit of their XOR) or at the first
+STAR.  States are then keyed only at events (exclude, chop, middle); the
+answer is unchanged, because a repeated state still closes whole periods
+of the state sequence, so the same streams stay untouched during it, and
+Itinerary normalization absorbs the later cycle start.
 
 The layout also keeps a memo from each event state (a, b, c) to the
 outcome of the query that passed it, and a later query that reaches a
@@ -181,12 +184,14 @@ def classify_triod(
     """
     facts = _facts(seq)
     layout = facts.layout  # None until the first query on seq
-    if layout is None or not (t1 in layout.starts and t2 in layout.starts and t3 in layout.starts):
+    starts = {} if layout is None else layout.starts
+    a, b, c = starts.get(t1), starts.get(t2), starts.get(t3)
+    if a is None or b is None or c is None:
         if t1 == t2 or t1 == t3 or t2 == t3:  # distinct first, then _lay checks STARs
             raise TriodError(_EQUAL)
         layout = _lay(facts, (t1, t2, t3))
-    tape, canon, reach, starts, memo = layout
-    a, b, c = starts[t1], starts[t2], starts[t3]
+        a, b, c = layout.starts[t1], layout.starts[t2], layout.starts[t3]
+    tape, canon, reach, _, memo = layout
     if a == b or a == c or b == c:  # equal positions exactly when equal streams
         raise TriodError(_EQUAL)
 
@@ -202,6 +207,12 @@ def classify_triod(
             raise TriodError("triod iteration exceeded its cycle bound (structural bug)")
         x, y, z = tape[a], tape[b], tape[c]
         if x == y == z != _STAR:
+            if not tape[a + 1] == tape[b + 1] == tape[c + 1] != _STAR:
+                # a run of one symbol: step it
+                recorded.append(x)
+                a, b, c = canon[a + 1], canon[b + 1], canon[c + 1]
+                step += 1
+                continue
             # take the whole run: up to the first difference or STAR
             window = tape[a:a + reach]
             first = int.from_bytes(window, "big")
