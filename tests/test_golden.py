@@ -60,15 +60,17 @@ COMMANDS = [
 ]
 
 # tree hashes of the star family, whose trees have one high-degree branch
-# point: 1-256 is a star around a 256-armed fixed point
+# point: 1-256 is a star around a 256-armed fixed point; these are the inputs
+# with long all-equal triod runs (up to 254 symbols in 1-256)
 STAR_FAMILY = {
     "1-256": "acefe829a4608593f41aba3471ff020f32d4c84b0c3566811ef563333d26b0f1",
     "1-2-256": "63fb630bd7a63fbfd62f91b02f6e032ec092d73f4e1b7dfd6f660791a548b1f4",
     "1-100-200-256": "10404dcfff12aca8ea616d50cec1e5ee9a414f4d0fa4dcdb26839a2680fa7965",
 }
 
-# analyze --json digests of seeded random words of period n, whose triod runs
-# reach hundreds of symbols and stop at STARs
+# analyze --json digests of seeded random words of period n; their all-equal
+# triod runs are short (at most 10 symbols at n = 128 and 11 at n = 256, and
+# over half of them one symbol long)
 LONG_WORDS = {
     128: "86a6bc6b04877393904667a22c46ce4a417fdfc7a34869c55b1f08a6824a4c07",
     256: "90db88c3478f0c5045d2dad7d1b8e558cd2e39be9b7c1ffe0cbabf10df881b56",

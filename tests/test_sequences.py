@@ -201,6 +201,16 @@ class TestExactPeriod:
     def test_examples(self, text, period):
         assert exact_period(text) == period
 
+    @given(st.one_of(
+        # a block repeated k times, so that proper periods come up often
+        st.builds(lambda block, k: block * k,
+                  st.text(alphabet="01", min_size=1, max_size=8), st.integers(1, 8)),
+        st.text(alphabet="01", min_size=1, max_size=40)))
+    def test_matches_the_definition(self, text):
+        word, n = text.encode(), len(text)
+        least = min(d for d in range(1, n + 1) if n % d == 0 and word[:d] * (n // d) == word)
+        assert exact_period(word) == least
+
     def test_rejects_star(self):
         with pytest.raises(ValueError):
             exact_period(b"10*")

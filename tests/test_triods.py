@@ -15,11 +15,13 @@ import hubbardtree.tree as tree_module
 import hubbardtree.triods as triods
 from hubbardtree import (
     Branch,
+    InternalAddress,
     Itinerary,
     KneadingSequence,
     Middle,
     TriodError,
     UnrealizedPointError,
+    address_to_sequence,
     build_tree,
     classify_triod,
     critical_orbit_itinerary,
@@ -301,11 +303,15 @@ def _differential_corpus() -> list[tuple[tuple, bool]]:
         corpus.append((args, False))
         return kernel(*args)
 
-    # every query build_tree makes for periods <= 10, the reference run on
-    # each both unchecked and checked
+    # every query build_tree makes for periods <= 10, and for two addresses
+    # whose all-equal runs reach 37 and 19 symbols (the kernel's window and
+    # its hand-off from one-symbol steps), the reference run on each both
+    # unchecked and checked
     tree_module.classify_triod = recording
     try:
         trees = [build_tree(seq) for seq in star_periodic_sequences(10)]
+        for address in ("1-2-40", "1-20-40"):
+            build_tree(address_to_sequence(InternalAddress.parse(address)))
     finally:
         tree_module.classify_triod = kernel
     corpus += [(args, not validate) for args, validate in corpus]
