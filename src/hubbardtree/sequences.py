@@ -164,9 +164,6 @@ class InternalAddress(namedtuple("InternalAddress", "entries terminated")):
             raise ParseError(f"invalid address text {_excerpt(text)}")
         return cls(tuple(int(part) for part in text.split("-")))
 
-    def __contains__(self, m: int) -> bool:
-        return m in self.entries
-
     def __str__(self) -> str:
         return "-".join(str(e) for e in self.entries) + ("" if self.terminated else "-...")
 

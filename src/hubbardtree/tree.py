@@ -379,7 +379,8 @@ def arm_permutation(tree: HubbardTree, z: str, period: int) -> tuple[dict[str, s
     Arms are named by the adjacent neighbor, and one step is the tree's
     arm_map at the current vertex.  The composite over one period must
     either cycle all arms (tame) or fix the arm toward the critical point
-    and cycle the rest (evil).
+    and cycle the rest (evil), so the first-return orbit of one arm other
+    than that one (of the only arm, when z has one) tells the two apart.
     """
     arms = tree.neighbors(z)
     current = {arm: arm for arm in arms}
@@ -394,33 +395,16 @@ def arm_permutation(tree: HubbardTree, z: str, period: int) -> tuple[dict[str, s
     if sorted(permutation.values()) != sorted(arms):
         raise StructuralError(f"arm map at {z} is not a permutation")
 
-    cycles = _cycles(permutation)
-    if len(cycles) == 1:
+    toward_critical = tree.arm_toward(z, tree.critical) if len(arms) > 1 else None
+    start = arm = next(a for a in arms if a != toward_critical)
+    length = 1
+    while (arm := permutation[arm]) != start:
+        length += 1
+    if length == len(arms):
         return permutation, OrbitKind.TAME
-    toward_critical = tree.arm_toward(z, tree.critical)
-    if (
-        len(cycles) == 2
-        and any(cycle == [toward_critical] for cycle in cycles)
-        and max(len(cycle) for cycle in cycles) == len(arms) - 1
-    ):
+    if length == len(arms) - 1 and permutation[toward_critical] == toward_critical:
         return permutation, OrbitKind.EVIL
-    raise StructuralError(f"arm permutation at {z} matches neither orbit kind: {cycles}")
-
-
-def _cycles(permutation: dict[str, str]) -> list[list[str]]:
-    remaining = set(permutation)
-    cycles = []
-    while remaining:
-        start = min(remaining)
-        cycle = [start]
-        remaining.discard(start)
-        nxt = permutation[start]
-        while nxt != start:
-            cycle.append(nxt)
-            remaining.discard(nxt)
-            nxt = permutation[nxt]
-        cycles.append(cycle)
-    return cycles
+    raise StructuralError(f"arm permutation at {z} matches neither orbit kind: {permutation}")
 
 
 class ObservedOrbit(namedtuple("ObservedOrbit", "period arms kind characteristic permutation")):
@@ -438,26 +422,19 @@ def classify_orbits(tree: HubbardTree) -> list[ObservedOrbit]:
     so it aborts loudly rather than returning.
     """
     observed = []
-    for orbit in tree.periodic_branch_orbits():
+    for orbit in tree.periodic_branch_orbits():  # in period order, as the spectrum
         z = orbit[0]
         degrees = {tree.degree(v) for v in orbit}
         if len(degrees) != 1:
             raise StructuralError(f"degrees vary along periodic orbit {orbit}")
         permutation, kind = arm_permutation(tree, z, len(orbit))
         observed.append(ObservedOrbit(len(orbit), degrees.pop(), kind, z, permutation))
-    observed.sort(key=lambda o: o.period)
 
-    predicted = tree.spectrum
-    got = [(o.period, o.arms, o.kind) for o in observed]
-    want = [(e.period, e.arms, e.kind) for e in predicted]
+    got = [(o.period, o.arms, o.kind, tree.point(o.characteristic).itinerary) for o in observed]
+    want = [(e.period, e.arms, e.kind, e.characteristic_itinerary) for e in tree.spectrum]
     if got != want:
         raise SpectrumMismatchError(
             f"{tree.sequence}: tree orbits {got} != predicted spectrum {want}")
-    for orbit, entry in zip(observed, predicted):
-        if tree.point(orbit.characteristic).itinerary != entry.characteristic_itinerary:
-            raise SpectrumMismatchError(
-                f"{tree.sequence}: characteristic itinerary of {orbit.characteristic} "
-                f"differs from predicted {entry.characteristic_itinerary}")
     return observed
 
 

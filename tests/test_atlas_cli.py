@@ -574,6 +574,22 @@ class TestProcessExit:
 
 
 class TestLibrarySide:
+    def test_no_module_guards_with_assert(self):
+        # python -O strips assert statements, so an invariant checked by one
+        # alone would go unchecked: every check raises an error of its own
+        import ast
+        import glob
+
+        import hubbardtree
+
+        paths = sorted(glob.glob(os.path.join(os.path.dirname(hubbardtree.__file__), "*.py")))
+        assert {f"{layer}.py" for layer in REEXPORTS} <= set(map(os.path.basename, paths))
+        for path in paths:
+            with open(path, encoding="utf-8") as handle:
+                nodes = ast.walk(ast.parse(handle.read(), path))
+            lines = [node.lineno for node in nodes if isinstance(node, ast.Assert)]
+            assert not lines, (path, lines)
+
     def test_analyze_row_fields(self):
         row = analyze_sequence("10110*")
         assert row.period == 6

@@ -355,11 +355,14 @@ def _differential_corpus() -> list[tuple[tuple, bool]]:
         pool += [Itinerary(word(0, 4, b"01*"), word(0, 3) + b"*" + word(0, 3))
                  for _ in range(2)]
         sample(pool, seq)
-    # inconsistent streams whose cycle survivor was chopped or excluded before
-    # the cycle; a random search finds about one in 7000 such queries
+    # inconsistent streams: three queries whose cycle survivor was chopped or
+    # excluded before the cycle (a random search finds about one in 7000
+    # such queries), and one whose streams agree up to a shared STAR, so the
+    # window's run stops at it and the three heads meet the critical point
     for word_text, *texts in [("1", "(11*1)", "(*0)", "11(1*)"),
                               ("11", "0100(111*)", "00(*11)", "00(11*)"),
-                              ("101", "10(011)", "101(10*)", "00(1)")]:
+                              ("101", "10(011)", "101(10*)", "00(1)"),
+                              ("10110*", "11*(0)", "11*(1)", "11*0(01)")]:
         points = tuple(Itinerary(*text[:-1].encode().split(b"(")) for text in texts)
         corpus.append((points + (KneadingSequence(word_text.encode()),), False))
     return corpus
