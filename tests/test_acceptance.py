@@ -128,14 +128,14 @@ def angle_words(n: int) -> Counter:
     return words
 
 
-def test_criterion_4_predicted_equals_observed():
+def test_criterion_4_predicted_equals_observed(corpus):
     with criterion(4, "admissibility == no evil orbit, spectrum == observed, "
-                      "angles == 2 x embeddings (period <= 13)"):
+                      f"angles == 2 x embeddings (period <= {corpus.period})"):
         started = time.perf_counter()
         checked = 0
-        angles = sum((angle_words(n) for n in range(2, 14)), Counter())
-        for seq in star_periodic_sequences(13):
-            tree = build_tree(seq)
+        angles = sum((angle_words(n) for n in range(2, corpus.period + 1)), Counter())
+        for tree in corpus.trees:
+            seq = tree.sequence
             observed = classify_orbits(tree)  # raises on spectrum mismatch
             predicted = branch_spectrum(seq)
             assert [(o.period, o.arms, o.kind) for o in observed] == \
@@ -149,7 +149,7 @@ def test_criterion_4_predicted_equals_observed():
             assert found == 2 * count_embeddings(observed), str(seq)
             assert (found > 0) == is_admissible(seq), str(seq)
             checked += 1
-        elapsed = time.perf_counter() - started
+        elapsed = corpus.build_s + time.perf_counter() - started  # builds included
         assert checked == 4095
         assert not angles, f"angle words matching no sequence: {sorted(angles)[:5]}"
         assert elapsed < 300.0, f"sweep took {elapsed:.1f}s"

@@ -14,7 +14,8 @@ among what the kneading sequence determines, but only the abstract is at
 hand, so no lemma is cited.  The indices 1 + j m and the kind come from the
 sequence alone, the arms from the built tree's paths, and the permutation is
 the one classify_orbits reads the orbit kind from.  q enters only as the
-number of arms the tree has at z.
+number of arms the tree has at z.  The trees are the session's corpus
+(conftest.py).
 """
 
 from __future__ import annotations
@@ -22,10 +23,7 @@ from __future__ import annotations
 from collections import Counter
 
 from hubbardtree.admissibility import OrbitKind
-from hubbardtree.atlas import star_periodic_sequences
-from hubbardtree.tree import build_tree, classify_orbits
-
-MAX_PERIOD = 13
+from hubbardtree.tree import classify_orbits
 
 
 def predicted_first_return(tree, period: int, kind: OrbitKind, z: str) -> dict[str, str]:
@@ -40,11 +38,10 @@ def predicted_first_return(tree, period: int, kind: OrbitKind, z: str) -> dict[s
     return dict(zip(cycle, cycle[1:] + cycle[:1]))
 
 
-def test_first_return_follows_the_critical_orbit():
-    trees = [build_tree(seq) for seq in star_periodic_sequences(MAX_PERIOD)]
-    assert len(trees) == 2 ** (MAX_PERIOD - 1) - 1
+def test_first_return_follows_the_critical_orbit(corpus):
+    assert len(corpus.trees) == 4095
     kinds = Counter()
-    for tree in trees:
+    for tree in corpus.trees:
         for entry, orbit in zip(tree.spectrum, classify_orbits(tree), strict=True):
             kinds[entry.kind] += 1
             z = orbit.characteristic

@@ -6,7 +6,8 @@ A real centre has an interval for its Hubbard tree (Milnor & Thurston, "On
 iterated maps of the interval", LNM 1342, 1988).  The laws here come from
 the real theory, not from this package's reading of the paper: they share
 only the parser, the enumeration, the builder and the tree's endpoints and
-paths, and order the itineraries themselves.
+paths, and order the itineraries themselves.  They read the session's tree
+corpus (conftest.py).
 """
 
 from __future__ import annotations
@@ -15,10 +16,6 @@ from collections import Counter
 
 import pytest
 
-from hubbardtree.atlas import star_periodic_sequences
-from hubbardtree.tree import build_tree
-
-MAX_PERIOD = 13
 RANK = {"0": 0, "*": 1, "1": 2}
 
 
@@ -61,15 +58,14 @@ def real_centres(n: int) -> int:
 
 
 @pytest.fixture(scope="module")
-def shapes():
+def shapes(corpus):
     """Per sequence text: its endpoint count, and on an arc the path from
     c1 to c2 (c0, the critical point, when the period is 2)."""
     found = []
-    for seq in star_periodic_sequences(MAX_PERIOD):
-        tree, n = build_tree(seq), seq.period
+    for tree in corpus.trees:
         endpoints = len(tree.endpoints())
-        path = tree.path("c1", f"c{2 % n}") if endpoints == 2 else None
-        found.append((str(seq), endpoints, path))
+        path = tree.path("c1", f"c{2 % tree.sequence.period}") if endpoints == 2 else None
+        found.append((str(tree.sequence), endpoints, path))
     return found
 
 
@@ -79,7 +75,7 @@ def test_formula_is_the_known_count():
 
 
 def test_arc_exactly_for_milnor_thurston_sequences(shapes):
-    assert len(shapes) == 2 ** (MAX_PERIOD - 1) - 1
+    assert len(shapes) == 4095
     for word, endpoints, _ in shapes:
         maximal = all(signed_compare(shifted(word, k), word * 2) < 0 for k in range(1, len(word)))
         assert (endpoints == 2) == maximal, word
@@ -95,9 +91,9 @@ def test_arc_lists_the_critical_orbit_in_decreasing_order(shapes):
         assert all(signed_compare(a, b) > 0 for a, b in zip(streams, streams[1:])), word
 
 
-def test_arc_count_per_period(shapes):
+def test_arc_count_per_period(corpus, shapes):
     counts = Counter(len(word) for word, _, path in shapes if path is not None)
-    assert counts == {n: real_centres(n) for n in range(2, MAX_PERIOD + 1)}
+    assert counts == {n: real_centres(n) for n in range(2, corpus.period + 1)}
     assert sum(counts.values()) == 694
 
 

@@ -223,10 +223,12 @@ class TestVerifyAxioms:
             checks = verify_axioms(build_tree(text))
             assert all(checks.values()), (text, checks)
 
-    def test_all_small_periods_pass(self):
-        for seq in star_periodic_sequences(7):
-            checks = verify_axioms(build_tree(seq))
-            assert all(checks.values()), (str(seq), checks)
+    def test_all_small_periods_pass(self, corpus):
+        trees = corpus.up_to(7)
+        assert len(trees) == 63
+        for tree in trees:
+            checks = verify_axioms(tree)
+            assert all(checks.values()), (str(tree.sequence), checks)
 
     def test_deleted_edge_breaks_connectivity(self):
         tree = build_tree(FIG1)
@@ -433,10 +435,11 @@ class TestCanonicalText:
     def dumped(tree: HubbardTree) -> str:
         return json.dumps(tree_record(tree), sort_keys=True, separators=(",", ":"))
 
-    def test_equals_the_dumped_record(self):
-        for seq in star_periodic_sequences(10):
-            tree = build_tree(seq)
-            assert tree.to_json() == self.dumped(tree), str(seq)
+    def test_equals_the_dumped_record(self, corpus):
+        trees = corpus.up_to(10)
+        assert len(trees) == 511
+        for tree in trees:
+            assert tree.to_json() == self.dumped(tree), str(tree.sequence)
 
     def test_quoted_matches_the_json_encoder(self):
         # every ASCII code point, alone and inside an id, then the empty

@@ -293,9 +293,19 @@ def _kernel_outcome(args, raw: bool):
         _facts.cache_clear()
 
 
+# inconsistent streams: three queries whose cycle survivor was chopped or
+# excluded before the cycle (a random search finds about one in 7000 such
+# queries), and one whose streams agree up to a shared STAR, so the window's
+# run stops at it and the three heads meet the critical point
+HAND_WRITTEN = [("1", "(11*1)", "(*0)", "11(1*)"),
+                ("11", "0100(111*)", "00(*11)", "00(11*)"),
+                ("101", "10(011)", "101(10*)", "00(1)"),
+                ("10110*", "11*(0)", "11*(1)", "11*0(01)")]
+
+
 def _differential_corpus() -> list[tuple[tuple, bool]]:
     """Seeded triod queries: (t1, t2, t3, seq) and whether the reference
-    checks STAR consistency."""
+    checks STAR consistency; the HAND_WRITTEN queries come last."""
     corpus = []
     kernel = tree_module.classify_triod
 
@@ -355,14 +365,7 @@ def _differential_corpus() -> list[tuple[tuple, bool]]:
         pool += [Itinerary(word(0, 4, b"01*"), word(0, 3) + b"*" + word(0, 3))
                  for _ in range(2)]
         sample(pool, seq)
-    # inconsistent streams: three queries whose cycle survivor was chopped or
-    # excluded before the cycle (a random search finds about one in 7000
-    # such queries), and one whose streams agree up to a shared STAR, so the
-    # window's run stops at it and the three heads meet the critical point
-    for word_text, *texts in [("1", "(11*1)", "(*0)", "11(1*)"),
-                              ("11", "0100(111*)", "00(*11)", "00(11*)"),
-                              ("101", "10(011)", "101(10*)", "00(1)"),
-                              ("10110*", "11*(0)", "11*(1)", "11*0(01)")]:
+    for word_text, *texts in HAND_WRITTEN:
         points = tuple(Itinerary(*text[:-1].encode().split(b"(")) for text in texts)
         corpus.append((points + (KneadingSequence(word_text.encode()),), False))
     return corpus
@@ -423,9 +426,12 @@ class TestAgainstReference:
         assert set(replays) == {"Middle", "Branch", "TriodError"}, replays
 
     def test_cold_contexts_agree(self):
-        # a fresh value per query: no memo, and the first layout of each
-        answers = random.Random(12).sample(_reference_answers(), 10_000)
-        for args, raw, expected in answers:
+        # a fresh value per query: no memo, and the first layout of each.
+        # The hand-written queries always run; 10,000 drawn from the rest
+        answers = _reference_answers()
+        cut = len(answers) - len(HAND_WRITTEN)
+        assert [str(args[3]) for args, _, _ in answers[cut:]] == [w for w, *_ in HAND_WRITTEN]
+        for args, raw, expected in [*random.Random(12).sample(answers[:cut], 10_000), *answers[cut:]]:
             _facts.cache_clear()
             assert _kernel_outcome(args, raw) == expected, (args, raw)
 
