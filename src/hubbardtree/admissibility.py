@@ -98,8 +98,6 @@ def _diagnostics(seq: KneadingSequence) -> tuple[FailureDiagnostic, ...]:
     star-periodic sequence, kept in the sequence's cached value."""
     facts = _facts(seq)
     if facts.diagnostics is None:
-        if not seq.star_periodic:
-            raise ValueError("failing periods are scanned for star-periodic sequences")
         facts.diagnostics = tuple(fails_for_period(seq, m) for m in range(1, seq.period))
     return facts.diagnostics
 

@@ -24,6 +24,7 @@ INFINITY = math.inf
 ENUMERATION_CAP = 16
 
 _FLIP = bytes.maketrans(b"01", b"10")
+_WORD = re.compile(rb"1[01]*\*")
 _ADDRESS_TEXT = re.compile(r"[0-9]+(-[0-9]+)*", re.ASCII)
 
 
@@ -46,30 +47,21 @@ class CrossCheckError(RuntimeError):
 
 
 class KneadingSequence(namedtuple("KneadingSequence", "word")):
-    """Periodic symbol sequence, stored as its period word anchored at entry 1.
-
-    Two kinds are supported: star-periodic words ``1...*`` (exactly one STAR,
-    in the last slot) and plain 0-1 words (used for the two STAR
-    substitutions and for branch-point itineraries).  The first entry is
-    always ``1``.
+    """Star-periodic kneading sequence ``1 v2 ... v_{n-1} *``, stored as its
+    period word anchored at entry 1: ``1[01]*\\*``, the command line's
+    sequence text with a leading 1.  Any other word, a plain 0-1 word
+    included, raises ParseError.
     """
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
     def __new__(cls, word: bytes) -> "KneadingSequence":
-        if not word:
-            raise ParseError("empty period word")
         if not isinstance(word, bytes):
             raise ParseError(f"sequence words are bytes, not {type(word).__name__}")
-        if word.translate(None, b"01*"):
-            raise ParseError(f"invalid sequence word {_excerpt(word)}")
-        if not word.startswith(b"1"):
-            raise ParseError("kneading sequences must start with 1")
-        stars = word.count(b"*")
-        if stars and (stars > 1 or not word.endswith(b"*")):
-            raise ParseError("misplaced '*': a star-periodic word has exactly "
-                             "one STAR, in the final slot")
+        if not _WORD.fullmatch(word):
+            raise ParseError(f"invalid sequence word {_excerpt(word)}: expected a 1, then "
+                             "0s and 1s, then one STAR in the final slot")
         return tuple.__new__(cls, (word,))
 
     @classmethod
@@ -81,10 +73,6 @@ class KneadingSequence(namedtuple("KneadingSequence", "word")):
     @property
     def period(self) -> int:
         return len(self.word)
-
-    @property
-    def star_periodic(self) -> bool:
-        return self.word.endswith(b"*")
 
     def __str__(self) -> str:
         return self.word.decode("ascii")
@@ -128,34 +116,30 @@ class _Facts:
 _facts = functools.lru_cache(maxsize=1)(_Facts)  # one slot: callers ask of one sequence at a time
 
 
-def mismatch_orbit(seq: KneadingSequence, k: int, *, stop_above: int | None = None) -> list[int]:
-    """The orbit ``k -> first_mismatch(k) -> ...``, stopping before INFINITY
-    (or before the first entry above ``stop_above``).  Entries after ``k``
-    strictly increase, so membership below the bound is decided exactly."""
-    bound = INFINITY if stop_above is None else stop_above
+def mismatch_orbit(seq: KneadingSequence, k: int) -> list[int]:
+    """The orbit ``k -> first_mismatch(k) -> ...``, stopping before INFINITY.
+    Entries after ``k`` strictly increase, and the orbit ends at the first
+    multiple of the period it reaches: any other shift puts a 0 or 1 under
+    the STAR there, and a multiple of the period never mismatches."""
     orbit = [k]
-    while (k := first_mismatch(seq, k)) is not INFINITY and k <= bound:
+    while (k := first_mismatch(seq, k)) is not INFINITY:
         orbit.append(k)
     return orbit
 
 
-class InternalAddress(namedtuple("InternalAddress", "entries terminated")):
-    """Strictly increasing recoding of a kneading sequence.
-
-    ``terminated`` distinguishes a genuinely finite address from one that was
-    truncated at a computation limit (plain periodic words can have infinite
-    addresses).
-    """
+class InternalAddress(namedtuple("InternalAddress", "entries")):
+    """Strictly increasing entries from 1: the recoding of a kneading
+    sequence, which ends at its period."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
-    def __new__(cls, entries: tuple[int, ...], terminated: bool = True) -> "InternalAddress":
+    def __new__(cls, entries: tuple[int, ...]) -> "InternalAddress":
         if not entries or entries[0] != 1:
             raise ParseError("internal addresses start at 1")
         if any(b <= a for a, b in zip(entries, entries[1:])):
             raise ParseError("internal address entries must increase")
-        return tuple.__new__(cls, (entries, terminated))
+        return tuple.__new__(cls, (entries,))
 
     @classmethod
     def parse(cls, text: str) -> "InternalAddress":
@@ -165,21 +149,12 @@ class InternalAddress(namedtuple("InternalAddress", "entries terminated")):
         return cls(tuple(int(part) for part in text.split("-")))
 
     def __str__(self) -> str:
-        return "-".join(str(e) for e in self.entries) + ("" if self.terminated else "-...")
+        return "-".join(str(e) for e in self.entries)
 
 
-def internal_address(seq: KneadingSequence, *, limit: int | None = None) -> InternalAddress:
-    """The mismatch orbit of 1, packaged as an address.
-
-    For a star-periodic sequence the address always terminates, at the
-    period.  For a plain periodic word it may not; ``limit`` (default four
-    word lengths) caps the largest entry and sets ``terminated=False`` when
-    the cap is what stopped the walk.
-    """
-    if limit is None:
-        limit = seq.period if seq.star_periodic else 4 * seq.period
-    entries = tuple(mismatch_orbit(seq, 1, stop_above=limit))
-    return InternalAddress(entries, terminated=first_mismatch(seq, entries[-1]) is INFINITY)
+def internal_address(seq: KneadingSequence) -> InternalAddress:
+    """The mismatch orbit of 1, packaged as an address; it ends at the period."""
+    return InternalAddress(tuple(mismatch_orbit(seq, 1)))
 
 
 def address_to_sequence(addr: InternalAddress) -> KneadingSequence:
@@ -260,7 +235,5 @@ def critical_orbit_itinerary(seq: KneadingSequence, index: int) -> Itinerary:
     The critical value (index 1) has itinerary equal to the sequence itself;
     index 0 is the rotation that puts the STAR first.
     """
-    if not seq.star_periodic:
-        raise ValueError("critical orbit itineraries need a star-periodic sequence")
     k = (index - 1) % seq.period
     return Itinerary.periodic(seq.word[k:] + seq.word[:k])

@@ -64,8 +64,6 @@ def marked_points(seq: KneadingSequence,
     the m shifts of its characteristic itinerary, indexed so that the
     dynamics sends index j to j+1 mod m.
     """
-    if not seq.star_periodic or seq.period < 2:
-        raise ValueError("marked points require a star-periodic sequence of period >= 2")
     points, itin = [], critical_orbit_itinerary(seq, 0)
     for k in range(seq.period):
         points.append(MarkedPoint(f"c{k}", itin, ("critical", k)))

@@ -137,11 +137,11 @@ def _lay(facts: _Facts, points: tuple[Itinerary, ...] | list[Itinerary]) -> _Lay
     """
     with facts.lock:
         seq, layout = facts.sequence, facts.layout
-        value = Itinerary.periodic(seq.word)
-        reach = 3 * max(len(value.period), *(len(p.preperiod) + len(p.period) for p in points))
+        # the value's period is the whole word: its one STAR keeps it minimal
+        reach = 3 * max(len(seq.word), *(len(p.preperiod) + len(p.period) for p in points))
         if layout is None or reach > layout.reach:
             layout = facts.layout = _Layout(bytearray(), [], reach, {}, {})
-            _append(layout, value)
+            _append(layout, Itinerary.periodic(seq.word))
         tape, reach, starts = layout.tape, layout.reach, layout.starts
         for p in points:
             if p in starts:

@@ -1,8 +1,15 @@
 """Helpers that only the tests call, kept out of the package so that no
 command compiles them.
 
-Each was a public function of the package before.  Every one reads only the
-package, including its private ``_facts``, ``_diagnostics`` and
+The first group works on plain 0-1 words, which the package does not take
+as sequences: the two STAR substitutions of a star-periodic word, a plain
+word's mismatch walk and its internal address, which may be infinite.  It
+is written on ``bytes``, straight from the definitions, and reads nothing
+of the package but its public ``INFINITY`` and ``StructuralError``, so a
+test can hold the package's own walk against it.
+
+The rest were public functions of the package before.  Every one reads
+only the package, including its private ``_diagnostics`` and
 ``_arm_count``, so a test that checks one of them against an oracle of its
 own still tests the package's code.
 """
@@ -26,35 +33,57 @@ from hubbardtree import (
     star_periodic_sequences,
 )
 from hubbardtree.admissibility import _arm_count, _diagnostics
-from hubbardtree.sequences import _facts
 
 
-def orbit_contains(seq: KneadingSequence, start: int, target: int) -> bool:
-    """Exact membership test ``target in mismatch_orbit(start)``, walked on
-    the sequence's table of mismatch distances: the walk stops at the first
-    entry not below ``target``."""
-    if start < 1:
+def word_mismatch(word: bytes, offset: int):
+    """Least ``k > offset`` where the word, repeated forever and indexed
+    from 1, differs from its own ``offset``-shift; INFINITY if the two agree
+    forever, which one period of comparisons decides."""
+    if offset < 1:
         raise ValueError("offset must be >= 1")
-    distances, n = _facts(seq).distances, len(seq.word)
-    while start < target and (distance := distances[start % n]) is not None:
-        start += distance
-    return start == target
+    n = len(word)
+    for k in range(offset + 1, offset + n + 1):
+        if word[(k - 1) % n] != word[(k - 1 - offset) % n]:
+            return k
+    return INFINITY
 
 
-def upper_lower(seq: KneadingSequence) -> tuple[KneadingSequence, KneadingSequence]:
-    """The two STAR substitutions, 0 and 1 in the final slot, ordered (upper, lower).
+def word_orbit(word: bytes, k: int, stop_above: int) -> list[int]:
+    """The mismatch walk ``k -> word_mismatch(k) -> ...``, stopping before
+    INFINITY or before the first entry above ``stop_above``."""
+    orbit = [k]
+    while (k := word_mismatch(word, k)) <= stop_above:
+        orbit.append(k)
+    return orbit
+
+
+def word_address(word: bytes, limit: int) -> tuple[tuple[int, ...], bool]:
+    """The internal address of a word, its entries up to ``limit``, and
+    whether it terminates there: a plain word's address may be infinite."""
+    entries = tuple(word_orbit(word, 1, limit))
+    return entries, word_mismatch(word, entries[-1]) is INFINITY
+
+
+def orbit_contains(word: bytes, start: int, target: int) -> bool:
+    """Whether ``target`` lies on the mismatch walk of ``start``."""
+    return word_orbit(word, start, target)[-1] == target
+
+
+def upper_lower(word: bytes) -> tuple[bytes, bytes]:
+    """The two STAR substitutions of a star-periodic word, 0 and 1 in the
+    final slot, ordered (upper, lower).
 
     Exactly one substitution has the period in its internal address; that one
     is the upper sequence.
     """
-    if not seq.star_periodic:
+    if not word.endswith(b"*"):
         raise ValueError("upper/lower sequences exist only for star-periodic input")
-    n = seq.period
-    zero, one = KneadingSequence(seq.word[:-1] + b"0"), KneadingSequence(seq.word[:-1] + b"1")
+    n = len(word)
+    zero, one = word[:-1] + b"0", word[:-1] + b"1"
     zero_has = orbit_contains(zero, 1, n)
     if zero_has == orbit_contains(one, 1, n):
         raise StructuralError(
-            f"expected exactly one substitution of {seq} to contain {n} in its address")
+            f"expected exactly one substitution of {word!r} to contain {n} in its address")
     return (zero, one) if zero_has else (one, zero)
 
 

@@ -11,7 +11,7 @@ from functools import partial
 from itertools import combinations, product
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import hubbardtree
@@ -32,9 +32,17 @@ from hubbardtree import (
     mismatch_orbit,
 )
 from hubbardtree.atlas import star_periodic_sequences
+from hubbardtree.cli import _SEQUENCE_TEXT
 from hubbardtree.sequences import _facts
 from hubbardtree.triods import TriodError, _lay
-from reference import closest_precritical_itinerary, orbit_contains, upper_lower
+from reference import (
+    closest_precritical_itinerary,
+    orbit_contains,
+    upper_lower,
+    word_address,
+    word_mismatch,
+    word_orbit,
+)
 
 
 def oracle_first_mismatch(text: str, offset: int):
@@ -64,6 +72,26 @@ class TestParsing:
         with pytest.raises(ParseError):
             KneadingSequence(word)
 
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(st.text(alphabet="01*", max_size=20),
+                     st.text(alphabet="01", max_size=19).map(lambda text: text + "*")))
+    @example("10110*")
+    @example("0110*")
+    @example("1011")
+    @example("10*1")
+    @example("")
+    def test_one_grammar_with_the_command_line(self, text):
+        # the library takes exactly the command line's sequence text, with a
+        # leading 1: no plain 0-1 word, and one STAR, in the final slot
+        accepted = _SEQUENCE_TEXT.fullmatch(text) is not None and text.startswith("1")
+        for build, word in [(KneadingSequence, text.encode()), (KneadingSequence.parse, text)]:
+            try:
+                build(word)
+            except ParseError:
+                assert not accepted, text
+            else:
+                assert accepted, text
+
     @pytest.mark.parametrize("build,text", [
         (KneadingSequence.parse, "\u00e9" * 5000),
         (KneadingSequence, b"2" * 5000),
@@ -92,31 +120,45 @@ class TestFirstMismatch:
         assert first_mismatch(nu, 3) == 6
 
     def test_constant_sequence_is_infinite(self):
-        ones = KneadingSequence(b"11")
-        assert first_mismatch(ones, 1) is INFINITY
+        # a plain constant word agrees with every shift; a star-periodic
+        # sequence agrees exactly with its shifts by multiples of the period
+        assert word_mismatch(b"11", 1) is INFINITY
+        ones = KneadingSequence(b"11*")
+        assert [first_mismatch(ones, k) for k in range(1, 7)] == [3, 3, INFINITY, 6, 6, INFINITY]
 
     @given(binary_words, st.integers(min_value=1, max_value=80))
     def test_matches_oracle_on_random_words(self, text, offset):
-        seq = KneadingSequence.parse(text)
-        assert first_mismatch(seq, offset) == oracle_first_mismatch(text, offset)
+        # the package on the word closed by a STAR, the plain-word walk of
+        # tests/reference.py on the word itself
+        seq = KneadingSequence.parse(text + "*")
+        assert first_mismatch(seq, offset) == oracle_first_mismatch(text + "*", offset)
+        assert word_mismatch(text.encode(), offset) == oracle_first_mismatch(text, offset)
 
     def test_table_matches_window_definition(self):
         # every plain and star-periodic word of period <= 10, every offset up
         # to three periods; an infinite answer is the INFINITY object itself,
-        # since callers test `is INFINITY`
+        # since callers test `is INFINITY`.  The package takes the
+        # star-periodic words and rejects the plain ones, which the
+        # plain-word walk of tests/reference.py takes instead
         words = [b"1" + bytes(middle) + end
                  for n in range(1, 11)
                  for end in (b"", b"*") if n >= 1 + len(end)
                  for middle in product(b"01", repeat=n - 1 - len(end))]
         assert len(words) == 1023 + 511
         for word in words:
-            seq, text = KneadingSequence(word), word.decode()
+            if word.endswith(b"*"):
+                mismatch = partial(first_mismatch, KneadingSequence(word))
+            else:
+                with pytest.raises(ParseError):
+                    KneadingSequence(word)
+                mismatch = partial(word_mismatch, word)
+            text = word.decode()
             for offset in range(1, 3 * len(word) + 1):
                 expected = oracle_first_mismatch(text, offset)
                 if expected is INFINITY:
-                    assert first_mismatch(seq, offset) is INFINITY, (text, offset)
+                    assert mismatch(offset) is INFINITY, (text, offset)
                 else:
-                    assert first_mismatch(seq, offset) == expected, (text, offset)
+                    assert mismatch(offset) == expected, (text, offset)
 
 
 class TestMismatchOrbit:
@@ -131,7 +173,18 @@ class TestMismatchOrbit:
         nu = KneadingSequence.parse("1011010110*")
         orbit = mismatch_orbit(nu, 1)
         for m in range(1, 12):
-            assert orbit_contains(nu, 1, m) == (m in orbit)
+            assert orbit_contains(nu.word, 1, m) == (m in orbit)
+
+    def test_orbit_ends_at_a_multiple_of_the_period(self):
+        # a shift by anything but a multiple of the period puts a 0 or 1
+        # under the next STAR, so every walk stops at the first multiple of
+        # the period it reaches, with no bound needed
+        for seq in star_periodic_sequences(8):
+            n = seq.period
+            for k in range(1, 3 * n + 1):
+                orbit = mismatch_orbit(seq, k)
+                assert orbit[-1] % n == 0 and all(e % n for e in orbit[:-1]), (str(seq), k)
+                assert orbit == word_orbit(seq.word, k, 4 * n), (str(seq), k)
 
 
 class TestInternalAddress:
@@ -143,7 +196,7 @@ class TestInternalAddress:
     def test_known_addresses(self, text, entries):
         addr = internal_address(KneadingSequence.parse(text))
         assert addr.entries == entries
-        assert addr.terminated
+        assert str(addr) == "-".join(map(str, entries))
 
     def test_star_periodic_address_ends_at_period(self):
         for seq in star_periodic_sequences(9):
@@ -152,11 +205,14 @@ class TestInternalAddress:
             assert addr.entries[-1] == seq.period
 
     def test_plain_word_can_be_truncated(self):
-        # the lower sequence of 10* has an unbounded address
-        lower = KneadingSequence(b"101")
-        addr = internal_address(lower, limit=30)
-        assert not addr.terminated
-        assert 3 not in addr.entries
+        # the lower sequence of 10* has an unbounded address, which only the
+        # plain-word walk of tests/reference.py can truncate: the package
+        # takes no plain word
+        entries, terminated = word_address(b"101", 30)
+        assert not terminated
+        assert 3 not in entries and entries[-1] > 20
+        with pytest.raises(ParseError):
+            KneadingSequence(b"101")
 
     def test_parse_and_render(self):
         addr = InternalAddress.parse("1-2-4-5-6")
@@ -226,20 +282,22 @@ class TestUpperLower:
         ("10*", "100", "101"),
     ])
     def test_known_substitutions(self, text, upper, lower):
-        up, low = upper_lower(KneadingSequence.parse(text))
-        assert (str(up), str(low)) == (upper, lower)
+        assert upper_lower(text.encode()) == (upper.encode(), lower.encode())
 
     def test_upper_contains_period_in_address(self):
         for seq in star_periodic_sequences(9):
-            up, low = upper_lower(seq)
-            # read on the package's own walk, not on orbit_contains, which upper_lower uses
-            assert seq.period in mismatch_orbit(up, 1, stop_above=seq.period)
-            assert seq.period not in mismatch_orbit(low, 1, stop_above=seq.period)
+            n = seq.period
+            up, low = upper_lower(seq.word)
+            # read against the package's own address, not only on
+            # orbit_contains, which upper_lower uses: the upper word's
+            # address agrees with the sequence's up to the period
+            assert word_address(up, n)[0] == internal_address(seq).entries, str(seq)
+            assert n not in word_orbit(low, 1, n)
 
     def test_upper_has_exact_period(self):
         for seq in star_periodic_sequences(10):
-            up, _ = upper_lower(seq)
-            assert exact_period(up.word) == seq.period
+            up, _ = upper_lower(seq.word)
+            assert exact_period(up) == seq.period
 
     def test_lower_repeats_before_the_period(self):
         # with m the largest address entry below n, the lower sequence keeps
@@ -247,9 +305,9 @@ class TestUpperLower:
         for seq in star_periodic_sequences(10):
             n = seq.period
             m = max(e for e in internal_address(seq).entries if e < n)
-            _, low = upper_lower(seq)
-            assert first_mismatch(low, m) > n
-            assert n not in mismatch_orbit(low, 1, stop_above=n)
+            _, low = upper_lower(seq.word)
+            assert word_mismatch(low, m) > n
+            assert n not in word_orbit(low, 1, n)
 
 
 class TestItinerary:
@@ -368,7 +426,7 @@ class TestValueTypes:
         KneadingSequence(b"10110*"),
         Itinerary(b"01", b"1*0"),
         InternalAddress((1, 2, 4, 5, 6)),
-        InternalAddress((1, 3, 7), terminated=False),
+        InternalAddress((1, 3, 7)),
     ], ids=str)
     def test_pickle_round_trip(self, value):
         copy = pickle.loads(pickle.dumps(value))
@@ -380,7 +438,7 @@ class TestValueTypes:
         forged_word = tuple.__new__(KneadingSequence, (b"2",))
         with pytest.raises(ParseError):
             pickle.loads(pickle.dumps(forged_word))
-        forged_address = tuple.__new__(InternalAddress, ((1, 1), True))
+        forged_address = tuple.__new__(InternalAddress, ((1, 1),))
         with pytest.raises(ParseError):
             pickle.loads(pickle.dumps(forged_address))
         raw = tuple.__new__(Itinerary, (b"1", b"111"))
@@ -394,47 +452,46 @@ class TestValueTypes:
         assert Itinerary.periodic(b"1")._replace(period=b"111") == Itinerary.periodic(b"1")
 
 
-def _address_entries(seq: KneadingSequence, limit: int) -> list[int]:
-    return mismatch_orbit(seq, 1, stop_above=limit)
-
-
 class TestMismatchOrbitCombinatorics:
-    """Random-word properties of the mismatch structure."""
+    """Random-word properties of the mismatch structure, on plain words
+    through the plain-word walk of tests/reference.py."""
 
     @settings(max_examples=300, deadline=None)
     @given(binary_words)
     def test_orbit_passes_through_translated_entries(self, text):
         # for an address entry m and s < m < first_mismatch(s), the orbit of
         # first_mismatch(m-s) - (m-s) comes back through m
-        seq = KneadingSequence.parse(text)
-        limit = 3 * seq.period
-        for m in _address_entries(seq, limit):
+        word = text.encode()
+        entries, _ = word_address(word, 3 * len(word))
+        for m in entries:
             for s in range(1, m):
-                rho_s = first_mismatch(seq, s)
+                rho_s = word_mismatch(word, s)
                 if rho_s is INFINITY or rho_s <= m:
                     continue
-                rho_diff = first_mismatch(seq, m - s)
+                rho_diff = word_mismatch(word, m - s)
                 if rho_diff is INFINITY:
                     continue
-                assert orbit_contains(seq, rho_diff - (m - s), m), (text, m, s)
+                assert orbit_contains(word, rho_diff - (m - s), m), (text, m, s)
 
     @settings(max_examples=300, deadline=None)
     @given(binary_words)
     def test_infinite_entry_is_exact_period(self, text):
-        seq = KneadingSequence.parse(text)
-        entries = _address_entries(seq, 4 * seq.period)
-        if first_mismatch(seq, entries[-1]) is INFINITY:
-            assert entries[-1] == exact_period(seq.word)
+        word = text.encode()
+        entries, terminated = word_address(word, 4 * len(word))
+        if terminated:
+            assert entries[-1] == exact_period(word)
 
     @settings(max_examples=300, deadline=None)
     @given(binary_words, st.integers(min_value=1, max_value=64), st.integers(min_value=2, max_value=6))
     def test_translation_property(self, text, m, k):
-        seq = KneadingSequence.parse(text)
-        rho_m = first_mismatch(seq, m)
-        if rho_m is INFINITY:
-            assert first_mismatch(seq, k * m) is INFINITY
-        elif rho_m > k * m:
-            assert first_mismatch(seq, k * m) == rho_m
+        # on the plain word, and through the package on the word closed by a STAR
+        for mismatch in (partial(word_mismatch, text.encode()),
+                         partial(first_mismatch, KneadingSequence.parse(text + "*"))):
+            rho_m = mismatch(m)
+            if rho_m is INFINITY:
+                assert mismatch(k * m) is INFINITY
+            elif rho_m > k * m:
+                assert mismatch(k * m) == rho_m
 
 
 def _triod(*args):

@@ -665,7 +665,7 @@ class TestClosestPrecritical:
                 zeta_k = closest_precritical_itinerary(seq, k)
                 if zeta_k == c1:
                     continue
-                orbit = mismatch_orbit(seq, k, stop_above=n)
+                orbit = mismatch_orbit(seq, k)
                 for m in range(1, n + 1):
                     if m == k or m == n:
                         continue

@@ -293,13 +293,19 @@ def _kernel_outcome(args, raw: bool):
         _facts.cache_clear()
 
 
-# inconsistent streams: three queries whose cycle survivor was chopped or
-# excluded before the cycle (a random search finds about one in 7000 such
-# queries), and one whose streams agree up to a shared STAR, so the window's
-# run stops at it and the three heads meet the critical point
-HAND_WRITTEN = [("1", "(11*1)", "(*0)", "11(1*)"),
-                ("11", "0100(111*)", "00(*11)", "00(11*)"),
-                ("101", "10(011)", "101(10*)", "00(1)"),
+# inconsistent streams, planted raw.  In the first three a STAR is followed
+# by a STAR-free tail: only such a stream can be a cycle survivor discarded
+# before the cycle (the first), or one of two streams that never separate,
+# found at a repeated state (the second) or by a run as long as the window
+# (the third).  A stream that follows the critical value after its STAR, or
+# that restarts there after a chop, meets a STAR every period, where it is
+# discarded again or is the middle, and two such streams that meet hit the
+# critical point together.  In the last the streams agree up to a shared
+# STAR, so the window's run stops at it and the three heads meet the
+# critical point
+HAND_WRITTEN = [("1*", "*(1)", "(0)", "(01)"),
+                ("1*", "*(0)", "(0)", "(01)"),
+                ("1*", "*(0)", "(0)", "0*(0)"),
                 ("10110*", "11*(0)", "11*(1)", "11*0(01)")]
 
 
@@ -358,8 +364,8 @@ def _differential_corpus() -> list[tuple[tuple, bool]]:
             corpus += [((c1, z, w, seq), True) for z in zetas for w in zetas
                        if len({c1, z, w}) == 3]
     for _ in range(5000):
-        # plain periodic words: the critical value never meets a STAR
-        seq = KneadingSequence(b"1" + word(0, 5))
+        # short random sequences, each with random points
+        seq = KneadingSequence(b"1" + word(0, 5) + b"*")
         pool = [Itinerary(word(0, 4), word(1, 4)), Itinerary(word(0, 4), word(1, 4)),
                 Itinerary(word(0, 3), seq.word), Itinerary(word(0, 3), seq.word)]
         pool += [Itinerary(word(0, 4, b"01*"), word(0, 3) + b"*" + word(0, 3))
