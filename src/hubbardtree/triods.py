@@ -41,9 +41,10 @@ period-9 atlas): when the next three symbols are not all equal, or one is
 a STAR, the head is recorded and each stream steps one state along canon.
 A longer run is taken in one step: it ends at the first difference of the
 three ``reach``-symbol windows (the top bit of their XOR) or at the first
-STAR.  States are then keyed only at events (exclude, chop, middle); the
-answer is unchanged, because a repeated state still closes whole periods
-of the state sequence, so the same streams stay untouched during it, and
+STAR, and a run that fills the window goes on from its end.  States are
+then keyed only at events (exclude, chop, middle); the answer is
+unchanged, because a repeated state still closes whole periods of the
+state sequence, so the same streams stay untouched during it, and
 Itinerary normalization absorbs the later cycle start.
 
 The layout also keeps a memo from each event state (a, b, c) to the
@@ -61,10 +62,9 @@ its states, and Itinerary normalization absorbs the cycle start.  The step
 cap is a safety net against a structural bug that genuine queries stay far
 below; a replay returns without counting the steps it skips.
 
-Positions are only meaningful on the layout they were read from, so a query
-reads all three of its positions from one layout.  An itinerary too long for
-the layout's window starts a fresh layout, and the memo, keyed by
-positions, starts afresh with it.
+A sequence has one layout, made on its first query and never replaced, so
+the positions a query reads, and the memo keyed by them, hold for every
+later query on the sequence.
 """
 
 from __future__ import annotations
@@ -125,30 +125,27 @@ def _lay(facts: _Facts, points: tuple[Itinerary, ...] | list[Itinerary]) -> _Lay
     back to the state it reads, and ``starts`` maps each itinerary laid out,
     and each of its shifts, to the state that reads it: a shift is not laid
     out again, so the critical orbit is read from the value's region.
-    ``reach`` is at least three times the longest itinerary laid out:
-    streams that agree over that many symbols agree forever (Fine and
-    Wilf).  ``memo`` maps event states to outcomes (see the module
-    docstring).  A longer itinerary starts a fresh layout, with an empty memo.
+    ``reach`` is three times the period: it only sizes the window a run is
+    taken in.  ``memo`` maps event states to outcomes (see the module
+    docstring).  The layout is never replaced.
 
-    A missing point is checked first: the ``reach`` symbols after the
-    first STAR of its stream must be the value's, else TriodError, and
-    the point is not laid out.  The first STAR decides for every STAR:
-    after it the stream is the value, whose STARs the value follows.
+    A missing point is checked first: its stream after its first STAR must
+    be the value, else TriodError, and the point is not laid out.  The
+    first STAR decides for every STAR: after it the stream is the value,
+    whose STARs the value follows.
     """
     with facts.lock:
         seq, layout = facts.sequence, facts.layout
-        # the value's period is the whole word: its one STAR keeps it minimal
-        reach = 3 * max(len(seq.word), *(len(p.preperiod) + len(p.period) for p in points))
-        if layout is None or reach > layout.reach:
-            layout = facts.layout = _Layout(bytearray(), [], reach, {}, {})
+        if layout is None:
+            # the value's period is the whole word: its one STAR keeps it minimal
+            layout = facts.layout = _Layout(bytearray(), [], 3 * len(seq.word), {}, {})
             _append(layout, Itinerary.periodic(seq.word))
-        tape, reach, starts = layout.tape, layout.reach, layout.starts
         for p in points:
-            if p in starts:
+            if p in layout.starts:
                 continue
-            stream = p.prefix(len(p.preperiod) + len(p.period) + reach)
-            star = stream.find(_STAR)
-            if star >= 0 and stream[star + 1:star + 1 + reach] != tape[:reach]:
+            word = p.preperiod + p.period
+            star = word.find(_STAR)
+            if star >= 0 and Itinerary(word[star + 1:], p.period) != (b"", seq.word):
                 raise TriodError(f"itinerary {p} does not follow {seq} after its STAR")
             _append(layout, p)
         return layout
@@ -222,9 +219,6 @@ def classify_triod(
             star = window.find(_STAR, 0, run)
             if star >= 0:
                 run = star
-            elif run == reach:
-                outcome = TriodError, _UNSEPARATED
-                break
             recorded += window[:run]
             a, b, c = canon[a + run], canon[b + run], canon[c + run]
             step += run

@@ -525,8 +525,8 @@ class TestOnePerSequenceValue:
 
     def test_the_one_slot_is_evicted_whole(self):
         # A, B, A, B against each one's cold answers; each sequence's longest
-        # symbolic precritical point forces a relayout, so the slot also
-        # holds a layout grown past its first when it is evicted
+        # symbolic precritical point is longer than any vertex, so the slot
+        # also holds a layout grown past the tree's points when it is evicted
         rng = random.Random(21)
         questions = {}
         for text in ("10110*", "1011010110*"):

@@ -1,10 +1,12 @@
 """Triod calculus: hand-iterated examples, symmetry, error paths, and the
-kernel layout (its memo and its relayout) against a reference kernel."""
+kernel layout (its memo, and the one layout a sequence keeps) against a
+reference kernel."""
 
 from __future__ import annotations
 
 import functools
 import math
+import os
 import random
 from collections import Counter
 from itertools import groupby, permutations
@@ -108,18 +110,46 @@ class TestErrors:
         with pytest.raises(TriodError):
             classify_triod(bogus, ONES, critical_orbit_itinerary(nu, 1), nu)
 
-    def test_simultaneous_stars_need_inconsistent_streams(self):
-        # unreachable for checked inputs; forcing it requires planting a
-        # stream that lies about what follows its STAR on the tape, raw
+    def test_simultaneous_stars_from_checked_streams(self):
+        # 0(10*) follows the value after each STAR, so it passes the check,
+        # but it is no point of the tree: its image is the critical value,
+        # whose one preimage is the critical point.  It reads the value after
+        # one step, as (1) does once chopped, and the two meet its STAR
+        # together
         nu = KneadingSequence.parse("10*")
-        lying = Itinerary(b"1", b"*00")
-        honest = Itinerary(b"1", b"*10")
-        _plant(nu, [lying])
+        with pytest.raises(TriodError, match="simultaneous"):
+            classify_triod(Itinerary(b"0", b"10*"), Itinerary(b"", b"0"), ONES, nu)
+
+    def test_star_check_holds_past_the_window(self):
+        # the point follows the value for more than the window's 3n symbols
+        # after its STAR, then leaves it; it is rejected and not laid out
+        nu = KneadingSequence.parse("10*")
+        point = Itinerary(b"*10*10*10*1", b"1")
+        window = 3 * nu.period
+        assert point.prefix(window + 1)[1:] == Itinerary.periodic(nu.word).prefix(window)
+        ends = critical_orbit_itinerary(nu, 0), critical_orbit_itinerary(nu, 1)
+        _facts.cache_clear()
+        with pytest.raises(TriodError) as excinfo:
+            classify_triod(point, *ends, nu)
+        assert type(excinfo.value) is TriodError
+        assert str(excinfo.value) == f"itinerary {point} does not follow {nu} after its STAR"
+        assert point not in _facts(nu).layout.starts
+
+    def test_streams_that_never_separate_in_a_run_reach_the_step_cap(self):
+        # planted raw: *(0) reads (0) after its STAR, and 0*(0) after its
+        # own.  Once both are excluded all three streams read (0), from three
+        # positions, so the run is taken window after window with no event
+        # to key a state at, until the step cap stops it
+        nu = KneadingSequence.parse("1*")
+        points = Itinerary(b"*", b"0"), Itinerary(b"", b"0"), Itinerary(b"0*", b"0")
+        _plant(nu, points)
         try:
-            with pytest.raises(TriodError, match="simultaneous"):
-                classify_triod(lying, honest, ONES, nu)
+            with pytest.raises(TriodError) as excinfo:
+                classify_triod(*points, nu)
         finally:
             _facts.cache_clear()
+        assert type(excinfo.value) is TriodError
+        assert str(excinfo.value) == "triod iteration exceeded its cycle bound (structural bug)"
 
     def test_rejected_itinerary_stays_off_the_tape(self):
         # the stream is checked itself even when its shift is on a warm tape;
@@ -274,8 +304,7 @@ def _plant(seq: KneadingSequence, points) -> None:
     reaches the tape."""
     _facts.cache_clear()
     value = Itinerary.periodic(seq.word)
-    reach = 3 * max(_size(value), *map(_size, points))
-    layout = _facts(seq).layout = triods._Layout(bytearray(), [], reach, {}, {})
+    layout = _facts(seq).layout = triods._Layout(bytearray(), [], 3 * len(seq.word), {}, {})
     for p in (value, *points):
         if p not in layout.starts:
             triods._append(layout, p)
@@ -293,19 +322,17 @@ def _kernel_outcome(args, raw: bool):
         _facts.cache_clear()
 
 
-# inconsistent streams, planted raw.  In the first three a STAR is followed
+# inconsistent streams, planted raw.  In the first two a STAR is followed
 # by a STAR-free tail: only such a stream can be a cycle survivor discarded
 # before the cycle (the first), or one of two streams that never separate,
-# found at a repeated state (the second) or by a run as long as the window
-# (the third).  A stream that follows the critical value after its STAR, or
-# that restarts there after a chop, meets a STAR every period, where it is
-# discarded again or is the middle, and two such streams that meet hit the
-# critical point together.  In the last the streams agree up to a shared
-# STAR, so the window's run stops at it and the three heads meet the
-# critical point
+# found at a repeated state (the second).  A stream that follows the
+# critical value after its STAR, or that restarts there after a chop, meets
+# a STAR every period, where it is discarded again or is the middle, and two
+# such streams that meet hit the critical point together.  In the last the
+# streams agree up to a shared STAR, so the window's run stops at it and
+# the three heads meet the critical point
 HAND_WRITTEN = [("1*", "*(1)", "(0)", "(01)"),
                 ("1*", "*(0)", "(0)", "(01)"),
-                ("1*", "*(0)", "(0)", "0*(0)"),
                 ("10110*", "11*(0)", "11*(1)", "11*0(01)")]
 
 
@@ -442,8 +469,28 @@ class TestAgainstReference:
             assert _kernel_outcome(args, raw) == expected, (args, raw)
 
 
-class TestRelayout:
-    def test_longer_itinerary_starts_a_fresh_layout(self, monkeypatch):
+class TestOneLayout:
+    def test_one_layout_per_sequence(self, monkeypatch):
+        # the first query makes the layout, and later points only add
+        # regions to it, however long they are.  These three agree for 20
+        # symbols, so their runs fill the window and go on
+        seq = KneadingSequence.parse("10*")
+        points = Itinerary(b"0" * 20, b"1"), Itinerary(b"0" * 19, b"01"), Itinerary(b"0" * 25, b"1")
+        assert len(os.path.commonprefix([p.prefix(40) for p in points])) == 20 > 3 * seq.period
+        _facts.cache_clear()
+        first, *rest = permutations(points)
+        assert _outcome(classify_triod, (*first, seq)) == _outcome(reference_classify_triod, (*first, seq))
+        layout = _facts(seq).layout
+        memo = dict(layout.memo)
+        assert memo
+        for order in rest:
+            args = (*order, seq)
+            assert _outcome(classify_triod, args) == _outcome(reference_classify_triod, args)
+        assert _facts(seq).layout is layout and memo.items() <= layout.memo.items()
+
+        # a symbolic precritical point has up to 2n - 1 symbols, more than
+        # any vertex; it joins the layout of the vertices, on which the
+        # tree's queries warmed the memo
         seq = KneadingSequence.parse("1011010110*")
         queries = []
         kernel = tree_module.classify_triod
@@ -453,31 +500,23 @@ class TestRelayout:
             return kernel(*args)
 
         monkeypatch.setattr(tree_module, "classify_triod", recording)
-        _facts.cache_clear()
-        build_tree(seq)
+        tree = build_tree(seq)
         expected = [_outcome(reference_classify_triod, args) for args in queries]
+        layout = TestRegisteredShifts.laid(seq, [v.itinerary for v in tree.vertices])
         assert [_outcome(classify_triod, args) for args in queries] == expected
-        facts = _facts(seq)
-        old = facts.layout
-        assert old.memo, "the tree queries warm the memo"
-
-        # a symbolic precritical point has up to 2n - 1 symbols, more than
-        # any vertex; the query pairs it with two laid-out points
+        memo = dict(layout.memo)
+        assert memo, "the tree queries warm the memo"
         zeta = max((closest_precritical_itinerary(seq, k) for k in range(1, seq.period + 1)),
-                   key=lambda z: len(z.preperiod) + len(z.period))
-        assert 3 * (len(zeta.preperiod) + len(zeta.period)) > old.reach
-        ends = critical_orbit_itinerary(seq, 0), critical_orbit_itinerary(seq, 1)
-        assert all(end in old.starts for end in ends)
-        for args in [(ends[0], zeta, ends[1], seq), (zeta, ends[0], ends[1], seq)]:
-            assert _outcome(classify_triod, args) == _outcome(reference_classify_triod, args)
-        new = facts.layout
-        assert new is not old
-        assert new.memo is not old.memo and len(new.memo) < len(old.memo)
-
-        # replaying the tree queries lays their points out again, on the new
-        # tape, and fills the new memo
+                   key=_size)
+        assert _size(zeta) > seq.period
+        c0, c1 = critical_orbit_itinerary(seq, 0), critical_orbit_itinerary(seq, 1)
+        for args in [(c0, zeta, c1, seq), (zeta, c0, c1, seq),
+                     *((v.itinerary, zeta, c1, seq) for v in tree.vertices if v.itinerary != c1)]:
+            assert _outcome(classify_triod, args) == _outcome(reference_classify_triod, args), args
         assert [_outcome(classify_triod, args) for args in queries] == expected
-        assert facts.layout is new and set(new.starts) >= {p for q in queries for p in q[:3]}
+        assert _facts(seq).layout is layout and memo.items() <= layout.memo.items()
+        assert zeta in layout.starts
+        TestRegisteredShifts.assert_one_region_per_orbit(layout, tree)
 
 
 class TestRegisteredShifts:
@@ -543,20 +582,3 @@ class TestRegisteredShifts:
                 query = (r, *ends, seq)
                 assert _outcome(classify_triod, query)[1].startswith(f"itinerary {r} does not")
                 assert r not in facts.layout.starts, (str(seq), r)
-
-    def test_a_relayout_registers_the_shifts_again(self):
-        seq = KneadingSequence.parse("1011010110*")
-        tree = build_tree(seq)
-        points = [v.itinerary for v in tree.vertices]
-        old = self.laid(seq, points)
-        zeta = max((closest_precritical_itinerary(seq, k) for k in range(1, seq.period + 1)),
-                   key=_size)
-        assert 3 * _size(zeta) > old.reach
-        c1 = critical_orbit_itinerary(seq, 1)
-        for r in points:
-            if r != c1:
-                query = (r, zeta, c1, seq)
-                assert _outcome(classify_triod, query) == _outcome(reference_classify_triod, query), r
-        new = _facts(seq).layout
-        assert new is not old and new.reach == 3 * _size(zeta)
-        self.assert_one_region_per_orbit(new, tree)
