@@ -470,7 +470,7 @@ class TestAgainstReference:
 
 
 class TestOneLayout:
-    def test_one_layout_per_sequence(self, monkeypatch):
+    def test_longer_points_keep_the_first_layout(self):
         # the first query makes the layout, and later points only add
         # regions to it, however long they are.  These three agree for 20
         # symbols, so their runs fill the window and go on
@@ -487,36 +487,6 @@ class TestOneLayout:
             args = (*order, seq)
             assert _outcome(classify_triod, args) == _outcome(reference_classify_triod, args)
         assert _facts(seq).layout is layout and memo.items() <= layout.memo.items()
-
-        # a symbolic precritical point has up to 2n - 1 symbols, more than
-        # any vertex; it joins the layout of the vertices, on which the
-        # tree's queries warmed the memo
-        seq = KneadingSequence.parse("1011010110*")
-        queries = []
-        kernel = tree_module.classify_triod
-
-        def recording(*args):
-            queries.append(args)
-            return kernel(*args)
-
-        monkeypatch.setattr(tree_module, "classify_triod", recording)
-        tree = build_tree(seq)
-        expected = [_outcome(reference_classify_triod, args) for args in queries]
-        layout = TestRegisteredShifts.laid(seq, [v.itinerary for v in tree.vertices])
-        assert [_outcome(classify_triod, args) for args in queries] == expected
-        memo = dict(layout.memo)
-        assert memo, "the tree queries warm the memo"
-        zeta = max((closest_precritical_itinerary(seq, k) for k in range(1, seq.period + 1)),
-                   key=_size)
-        assert _size(zeta) > seq.period
-        c0, c1 = critical_orbit_itinerary(seq, 0), critical_orbit_itinerary(seq, 1)
-        for args in [(c0, zeta, c1, seq), (zeta, c0, c1, seq),
-                     *((v.itinerary, zeta, c1, seq) for v in tree.vertices if v.itinerary != c1)]:
-            assert _outcome(classify_triod, args) == _outcome(reference_classify_triod, args), args
-        assert [_outcome(classify_triod, args) for args in queries] == expected
-        assert _facts(seq).layout is layout and memo.items() <= layout.memo.items()
-        assert zeta in layout.starts
-        TestRegisteredShifts.assert_one_region_per_orbit(layout, tree)
 
 
 class TestRegisteredShifts:
@@ -550,6 +520,37 @@ class TestRegisteredShifts:
             for j in range(entry.period):
                 assert layout.starts[itin] == at + j, (str(seq), entry)
                 itin = itin.shift()
+
+    def test_a_precritical_point_joins_the_layout_of_the_vertices(self, monkeypatch):
+        # a symbolic precritical point has up to 2n - 1 symbols, more than
+        # any vertex; it joins the layout of the vertices, on which the
+        # tree's queries warmed the memo
+        seq = KneadingSequence.parse("1011010110*")
+        queries = []
+        kernel = tree_module.classify_triod
+
+        def recording(*args):
+            queries.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(tree_module, "classify_triod", recording)
+        tree = build_tree(seq)
+        expected = [_outcome(reference_classify_triod, args) for args in queries]
+        layout = self.laid(seq, [v.itinerary for v in tree.vertices])
+        assert [_outcome(classify_triod, args) for args in queries] == expected
+        memo = dict(layout.memo)
+        assert memo, "the tree queries warm the memo"
+        zeta = max((closest_precritical_itinerary(seq, k) for k in range(1, seq.period + 1)),
+                   key=_size)
+        assert _size(zeta) > seq.period
+        c0, c1 = critical_orbit_itinerary(seq, 0), critical_orbit_itinerary(seq, 1)
+        for args in [(c0, zeta, c1, seq), (zeta, c0, c1, seq),
+                     *((v.itinerary, zeta, c1, seq) for v in tree.vertices if v.itinerary != c1)]:
+            assert _outcome(classify_triod, args) == _outcome(reference_classify_triod, args), args
+        assert [_outcome(classify_triod, args) for args in queries] == expected
+        assert _facts(seq).layout is layout and memo.items() <= layout.memo.items()
+        assert zeta in layout.starts
+        self.assert_one_region_per_orbit(layout, tree)
 
     def test_shifts_read_as_from_their_own_regions(self):
         rng = random.Random(7)
