@@ -14,10 +14,11 @@ from collections import namedtuple
 from collections.abc import Iterator
 from itertools import product as cartesian
 
-from .admissibility import OrbitKind, _diagnostics
+from .admissibility import failing_periods
 from .embedding import count_embeddings
 # ENUMERATION_CAP and CrossCheckError are re-exported
-from .sequences import ENUMERATION_CAP, CrossCheckError, KneadingSequence, StructuralError
+from .sequences import (ENUMERATION_CAP, CrossCheckError, KneadingSequence, StructuralError,
+                        internal_address)
 from .tree import _quoted, build_tree, classify_orbits, verify_axioms
 
 
@@ -70,8 +71,7 @@ def analyze_sequence(seq: KneadingSequence | str) -> AtlasRow:
     if isinstance(seq, str):
         seq = KneadingSequence.parse(seq)
     tree = build_tree(seq)
-    # admissibility fails exactly at the periods of the evil orbits
-    failing = [e.period for e in tree.spectrum if e.kind is OrbitKind.EVIL]
+    failing = failing_periods(seq)
 
     axioms = verify_axioms(tree)
     broken = sorted(name for name, ok in axioms.items() if not ok)
@@ -95,8 +95,7 @@ def analyze_sequence(seq: KneadingSequence | str) -> AtlasRow:
     return AtlasRow(
         sequence=str(seq),
         period=seq.period,
-        internal_address="-".join([*(str(d.period) for d in _diagnostics(seq) if not d.cond1),
-                                   str(seq.period)]),  # the m < n where cond1 is false, then n
+        internal_address=str(internal_address(seq)),
         admissible=admissible,
         failing_periods=tuple(failing),
         spectrum=tree.spectrum,
@@ -123,8 +122,8 @@ def star_periodic_sequences(max_period: int, *, exact: bool = False) -> list[Kne
     return sequences
 
 
-def _row_json(text: str) -> str:
-    return analyze_sequence(text).to_json()
+def _row_json(seq: KneadingSequence) -> str:
+    return analyze_sequence(seq).to_json()
 
 
 def atlas_header(max_period: int, exact: bool) -> str:
@@ -140,13 +139,12 @@ def enumerate_rows(max_period: int, *, exact: bool = False, jobs: int = 1) -> It
     ``jobs`` is clamped to the CPUs this process may run on (its affinity,
     where the platform has one, else the CPU count).
     """
-    texts = [str(seq) for seq in star_periodic_sequences(max_period, exact=exact)]
+    sequences = star_periodic_sequences(max_period, exact=exact)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     jobs = min(jobs, cpus or 1)
     if jobs <= 1:
-        for text in texts:
-            yield _row_json(text)
+        yield from map(_row_json, sequences)
         return
     from multiprocessing import Pool  # imported here so single-sequence commands skip it
     with Pool(jobs) as pool:
-        yield from pool.imap(_row_json, texts, chunksize=8)
+        yield from pool.imap(_row_json, sequences, chunksize=8)

@@ -115,6 +115,15 @@ class TestFailureDiagnostics:
         # each combination but cond2 false at an address entry occurs
         assert sum(seen.values()) == 24_575 and len(seen) == 6
 
+    def test_cond1_is_false_exactly_at_the_address_entries(self):
+        # every star-periodic sequence of period <= 12: the periods m < n
+        # where cond1 is false, then n, are the internal address
+        seqs = star_periodic_sequences(12)
+        assert len(seqs) == 2047
+        for seq in seqs:
+            below = [m for m in range(1, seq.period) if not fails_for_period(seq, m).cond1]
+            assert (*below, seq.period) == internal_address(seq).entries, str(seq)
+
     def test_serialization(self):
         record = diagnostic_dict(fails_for_period(KneadingSequence.parse("10110*"), 3))
         assert record == {"period": 3, "cond1": True, "cond2": True,
@@ -136,6 +145,14 @@ class TestFailingPeriods:
         assert not is_admissible(KneadingSequence.parse("10110*"))
         assert is_admissible(KneadingSequence.parse("1011010110*"))
         assert is_admissible(KneadingSequence.parse("111*"))
+
+    def test_failing_periods_are_the_evil_orbit_periods(self):
+        # every star-periodic sequence of period <= 12
+        seqs = star_periodic_sequences(12)
+        assert len(seqs) == 2047
+        for seq in seqs:
+            evil = [e.period for e in branch_spectrum(seq) if e.kind is OrbitKind.EVIL]
+            assert failing_periods(seq) == evil, str(seq)
 
     def test_period_one_never_fails(self):
         for seq in star_periodic_sequences(9):

@@ -9,7 +9,8 @@ import pickle
 import subprocess
 import sys
 import time
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import nullcontext, redirect_stderr, redirect_stdout
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -28,7 +29,7 @@ from hubbardtree.atlas import (
     star_periodic_sequences,
 )
 from hubbardtree.cli import MAX_PERIOD, main
-from hubbardtree.sequences import KneadingSequence, _facts, internal_address
+from hubbardtree.sequences import KneadingSequence, _facts
 from reference import diagnostics_record, embedding_census
 
 
@@ -407,6 +408,35 @@ class TestEnumerateCommand:
         monkeypatch.setattr(atlas.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         assert list(enumerate_rows(5, jobs=2)) == list(enumerate_rows(5))
 
+    def test_rows_parse_no_text(self, monkeypatch):
+        # each row is handed its KneadingSequence, serially and through the
+        # pool, so no row parses the text it came from
+        import hubbardtree.atlas as atlas
+
+        texts, handed = [], []
+        parse = KneadingSequence.parse.__func__
+
+        def counted(cls, text):
+            texts.append(text)
+            return parse(cls, text)
+
+        def inline_pool(processes):
+            # stands in for multiprocessing.Pool: records the items, maps in process
+            def imap(func, items, chunksize=1):
+                handed.extend(items)
+                return map(func, items)
+
+            return nullcontext(SimpleNamespace(imap=imap))
+
+        monkeypatch.setattr(KneadingSequence, "parse", classmethod(counted))
+        assert len(list(enumerate_rows(9, exact=True))) == 128
+        assert texts == []
+        monkeypatch.setattr("multiprocessing.Pool", inline_pool)
+        monkeypatch.setattr(atlas.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert len(list(enumerate_rows(9, exact=True, jobs=2))) == 128
+        assert texts == [] and len(handed) == 128
+        assert all(type(item) is KneadingSequence for item in handed)
+
     def test_rows_satisfy_consistency_law(self):
         for line in enumerate_rows(6):
             row = json.loads(line)
@@ -705,16 +735,15 @@ class TestRowText:
 
     @pytest.fixture(scope="class")
     def rows(self):
-        return [(seq, analyze_sequence(seq)) for seq in star_periodic_sequences(12)]
+        return [(seq, analyze_sequence(seq)) for seq in star_periodic_sequences(10)]
 
     def test_equals_the_dumped_row(self, rows):
-        short = [row for seq, row in rows if seq.period <= 10]
-        assert len(short) == 511
-        for row in short:
+        assert len(rows) == 511
+        for _, row in rows:
             assert row.to_json() == dumped(row_record(row)), row.sequence
 
-    def test_strings_that_need_escaping(self, rows):
-        row = next(row for seq, row in rows if str(seq) == "1011010110*")
+    def test_strings_that_need_escaping(self):
+        row = analyze_sequence("1011010110*")
         entry = row.spectrum[0]._replace(characteristic_itinerary='z"\\é', kind="\t\U0001d537")
         odd = row._replace(sequence='1"0\\1*', internal_address="1-é", spectrum=(entry,),
                            endpoints=("cé1", 'c"2'), tree_hash="\\")
@@ -723,11 +752,11 @@ class TestRowText:
         assert text.isascii() and '\\"0' in text and "\\u00e9" in text and "\\ud835" in text
 
     def test_analyze_json_is_the_row_text_with_diagnostics(self, rows, capsys):
-        # every sequence of period <= 10, then the golden inputs (two of
-        # them are among those; 110001100010011* has period 16, so it is
-        # the one row not read from the fixture)
+        # every sequence of period <= 10, then the golden inputs; the fixture
+        # holds the rows of period <= 10, so 10110* comes from it, while
+        # 1011010110* (period 11) and 110001100010011* (period 16) do not
         known = dict(rows)
-        seqs = [seq for seq, _ in rows if seq.period <= 10]
+        seqs = [seq for seq, _ in rows]
         seqs += [KneadingSequence.parse(text)
                  for text in ("10110*", "1011010110*", "110001100010011*")]
         assert len(seqs) == 514
@@ -737,12 +766,6 @@ class TestRowText:
             row = known[seq] if seq in known else analyze_sequence(seq)
             record = {**row_record(row), "diagnostics": diagnostics_record(seq)}
             assert capsys.readouterr().out == dumped(record) + "\n", str(seq)
-
-    def test_address_is_read_from_the_diagnostics(self, rows):
-        # every star-periodic sequence of period <= 12
-        assert len(rows) == 2047
-        for seq, row in rows:
-            assert row.internal_address == str(internal_address(seq)), row.sequence
 
 
 # every name `hubbardtree` re-exported when its __init__ imported all six
